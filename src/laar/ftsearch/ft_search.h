@@ -89,7 +89,8 @@ struct FtSearchOptions {
 
   /// Worker threads. 1 = fully deterministic sequential search; > 1 splits
   /// the top of the search tree across a thread pool (the paper's Fork/Join
-  /// parallelization).
+  /// parallelization). Ignored when `node_limit` is set: a node-budgeted
+  /// search always runs sequentially.
   int num_threads = 1;
 
   /// Tree levels enumerated to create parallel tasks (num_threads > 1).
@@ -113,9 +114,11 @@ struct FtSearchOptions {
 
   /// COMPL bound flavour: when set, the IC upper bound propagates the
   /// already-decided Δ̂ values through the undecided remainder of the
-  /// current configuration (exact optimistic recursion, O(edges) per
-  /// node); otherwise it uses precomputed failure-free suffix sums (O(1)
-  /// per node, much looser).
+  /// current configuration (exact optimistic recursion). It is maintained
+  /// in O(1) per node and re-walked, in O(edges of one configuration), only
+  /// at a configuration's first variable or when the bound comes within
+  /// rounding distance of the requirement. Otherwise the bound uses
+  /// precomputed failure-free suffix sums (O(1) per node, much looser).
   bool tight_ic_bound = true;
 
   /// Seed the search with a greedy feasible solution (all replicas active,
@@ -140,10 +143,12 @@ struct FtSearchOptions {
   uint64_t progress_interval_nodes = 1u << 16;
 
   /// Abort after exploring this many nodes (0 = unlimited). Unlike the
-  /// wall-clock limit, a node budget is deterministic: for a sequential
-  /// search (num_threads = 1) the outcome is a pure function of the inputs,
-  /// independent of machine load. The corpus runner relies on this to keep
-  /// its records invariant under --jobs.
+  /// wall-clock limit, a node budget is deterministic: the outcome is a pure
+  /// function of the inputs, independent of machine load. To keep it so, a
+  /// node-limited search runs sequentially whatever `num_threads` says (a
+  /// budget shared by parallel workers would be spent in scheduling order).
+  /// The corpus runner relies on this to keep its records invariant under
+  /// --jobs.
   uint64_t node_limit = 0;
 };
 

@@ -57,9 +57,11 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
     options.variants.ftsearch_threads = 1;
     options.variants.ftsearch_pool = nullptr;
   } else if (options.variants.ftsearch_threads > 1 &&
+             options.variants.ftsearch_node_limit == 0 &&
              options.variants.ftsearch_pool == nullptr) {
     // Serial corpus: the parallelism budget goes to FT-Search root
-    // splitting, on one shared pool across all searches.
+    // splitting, on one shared pool across all searches (node-budgeted
+    // searches run sequentially and need none).
     pool.emplace(static_cast<size_t>(options.variants.ftsearch_threads));
     options.variants.ftsearch_pool = &*pool;
   }

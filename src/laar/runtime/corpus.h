@@ -50,7 +50,9 @@ struct CorpusResult {
 /// to a single thread so the two levels never oversubscribe. With
 /// `jobs == 1` the applications run serially and
 /// `harness.variants.ftsearch_threads` may parallelize each search
-/// instead.
+/// instead — unless `harness.variants.ftsearch_node_limit` is set: a
+/// node-budgeted FT-Search always runs sequentially (see
+/// `ftsearch::FtSearchOptions::node_limit`), so no search pool is made.
 CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpus);
 
 /// Convenience wrapper returning only the records.

@@ -1,7 +1,10 @@
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -159,6 +162,30 @@ TEST(CorpusTest, SerialCorpusMayShareFtSearchPool) {
   harness.variants.ftsearch_threads = 4;
   const CorpusResult threaded = RunCorpus(harness, TinyCorpus(1));
   EXPECT_EQ(CorpusToCsv(threaded.records), CorpusToCsv(reference.records));
+}
+
+TEST(CorpusTest, NodeBudgetedThreadedCorpusIsScheduleInvariantUnderLoad) {
+  // A node budget shared by parallel workers is spent in scheduling order,
+  // so a node-budgeted search must run sequentially whatever its thread
+  // count. Busy-spinning threads perturb the scheduling; the records of the
+  // threaded corpus must still equal the serial ones every time.
+  HarnessOptions harness = TinyHarness();
+  const std::string expected = CorpusToCsv(RunCorpus(harness, TinyCorpus(1)).records);
+  harness.variants.ftsearch_threads = 4;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> hogs;
+  for (int i = 0; i < 4; ++i) {
+    hogs.emplace_back([&done] {
+      while (!done.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  for (int round = 0; round < 20; ++round) {
+    EXPECT_EQ(CorpusToCsv(RunCorpus(harness, TinyCorpus(1)).records), expected)
+        << "round " << round;
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& hog : hogs) hog.join();
 }
 
 TEST(CorpusTest, GivesUpAfterSkipBudget) {
