@@ -241,78 +241,53 @@ std::vector<StageResult> RunShardedScaling(double link_latency) {
   const auto trace = *dsps::InputTrace::Step(
       0, app.descriptor.input_space.PeakConfig(), 3.0, 4.0);
   std::vector<StageResult> results;
-  // Global lockstep first, then the pairwise schedule over the same shard
-  // counts: the two modes are byte-identical by contract, so each pair of
-  // stages isolates the synchronization schedule's wall-clock effect.
-  for (const bool pairwise : {false, true}) {
-    for (int shards : {1, 2, 4, 8}) {
-      StageResult result;
-      result.name = std::string(pairwise ? "sharded_pairwise_s"
-                                         : "sharded_scaling_s") +
-                    std::to_string(shards);
-      result.shards = shards;
-      result.jobs = shards;
-      obs::EngineProfiler profiler;
-      dsps::RuntimeOptions runtime;
-      runtime.record_latency = false;  // millions of sink samples otherwise
-      runtime.link_latency_seconds = link_latency;
-      runtime.shards = shards;
-      runtime.window_mode = pairwise
-                                ? dsps::RuntimeOptions::WindowMode::kPairwise
-                                : dsps::RuntimeOptions::WindowMode::kGlobal;
-      runtime.profiler = &profiler;
-      Stopwatch watch;
-      dsps::StreamSimulation simulation(app.descriptor, app.cluster,
-                                        app.placement, strategy, trace,
-                                        runtime);
-      simulation.Run().CheckOK();
-      result.wall_seconds = watch.ElapsedSeconds();
-      result.events = simulation.metrics().engine_events;
-      const obs::EngineProfile& profile = profiler.profile();
-      profile.ReconcileEvents().CheckOK();
-      result.profiled = true;
-      result.sync_overhead_fraction = profile.SyncOverheadFraction();
-      result.imbalance_ratio = profile.ImbalanceRatio();
-      result.critical_path_seconds = profile.critical_path_seconds;
-      std::printf(
-          "  %s profile: sync overhead %.1f%%, imbalance %.2f, critical path "
-          "%.3fs of %.3fs loop, runner workers %d\n",
-          result.name.c_str(), result.sync_overhead_fraction * 100.0,
-          result.imbalance_ratio, result.critical_path_seconds,
-          profile.loop_wall_seconds, profile.runner_workers);
-      results.push_back(std::move(result));
-    }
+  for (int shards : {1, 2, 4, 8}) {
+    StageResult result;
+    result.name = "sharded_pairwise_s" + std::to_string(shards);
+    result.shards = shards;
+    result.jobs = shards;
+    obs::EngineProfiler profiler;
+    dsps::RuntimeOptions runtime;
+    runtime.record_latency = false;  // millions of sink samples otherwise
+    runtime.link_latency_seconds = link_latency;
+    runtime.shards = shards;
+    runtime.profiler = &profiler;
+    Stopwatch watch;
+    dsps::StreamSimulation simulation(app.descriptor, app.cluster,
+                                      app.placement, strategy, trace, runtime);
+    simulation.Run().CheckOK();
+    result.wall_seconds = watch.ElapsedSeconds();
+    result.events = simulation.metrics().engine_events;
+    const obs::EngineProfile& profile = profiler.profile();
+    profile.ReconcileEvents().CheckOK();
+    result.profiled = true;
+    result.sync_overhead_fraction = profile.SyncOverheadFraction();
+    result.imbalance_ratio = profile.ImbalanceRatio();
+    result.critical_path_seconds = profile.critical_path_seconds;
+    std::printf(
+        "  %s profile: sync overhead %.1f%%, imbalance %.2f, critical path "
+        "%.3fs of %.3fs loop, runner workers %d\n",
+        result.name.c_str(), result.sync_overhead_fraction * 100.0,
+        result.imbalance_ratio, result.critical_path_seconds,
+        profile.loop_wall_seconds, profile.runner_workers);
+    results.push_back(std::move(result));
   }
   for (const StageResult& result : results) {
     if (result.events != results[0].events) {
       std::fprintf(stderr,
                    "FATAL: %s executed %llu events, expected %llu — the "
                    "windowed engine is supposed to be byte-identical across "
-                   "shard counts and window modes\n",
+                   "shard counts\n",
                    result.name.c_str(),
                    static_cast<unsigned long long>(result.events),
                    static_cast<unsigned long long>(results[0].events));
       std::exit(1);
     }
   }
-  std::printf("sharded_scaling: speedup s2=%.2fx s4=%.2fx s8=%.2fx\n",
+  std::printf("sharded_pairwise: speedup s2=%.2fx s4=%.2fx s8=%.2fx\n",
               results[0].wall_seconds / results[1].wall_seconds,
               results[0].wall_seconds / results[2].wall_seconds,
               results[0].wall_seconds / results[3].wall_seconds);
-  std::printf("sharded_pairwise: speedup s2=%.2fx s4=%.2fx s8=%.2fx\n",
-              results[4].wall_seconds / results[5].wall_seconds,
-              results[4].wall_seconds / results[6].wall_seconds,
-              results[4].wall_seconds / results[7].wall_seconds);
-  for (size_t i = 0; i < 4; ++i) {
-    const StageResult& global = results[i];
-    const StageResult& pairwise = results[i + 4];
-    std::printf(
-        "  s%d sync overhead: global %.1f%% -> pairwise %.1f%% (%+.1f pp)\n",
-        global.shards, global.sync_overhead_fraction * 100.0,
-        pairwise.sync_overhead_fraction * 100.0,
-        (pairwise.sync_overhead_fraction - global.sync_overhead_fraction) *
-            100.0);
-  }
   return results;
 }
 

@@ -123,22 +123,10 @@ struct RuntimeOptions {
   /// `link_latency_seconds`; shards only change wall-clock time.
   int shards = 1;
 
-  /// How the conservative-window engine schedules shard phases.
-  ///
-  /// `kGlobal` (the default, DESIGN.md §10) advances every shard in
-  /// lockstep, one window per barrier round.
-  ///
-  /// `kPairwise` (DESIGN.md §12) derives a per-shard-pair lookahead matrix
-  /// from the placed application edges and the topology latency factors
-  /// below, and lets each shard sprint to the minimum over its *inbound*
-  /// neighbors' horizons (`neighbor_windows_crossed + lookahead(src, dst)`).
-  /// Shard pairs connected only by slow links synchronize rarely; a shard
-  /// with no inbound cross-shard edges runs uninterrupted to the next
-  /// control event. The delivery model (and therefore every artifact byte)
-  /// is identical in both modes — only the synchronization schedule and the
-  /// wall-clock profile change.
-  enum class WindowMode { kGlobal, kPairwise };
-  WindowMode window_mode = WindowMode::kGlobal;
+  /// One value only (the windowed engine's one schedule, DESIGN.md §12);
+  /// kept solely because perfbench still assigns it, until its next change.
+  enum class WindowMode { kPairwise };
+  WindowMode window_mode = WindowMode::kPairwise;  ///< see WindowMode
 
   /// Topology link-latency multipliers, applied per host pair on top of
   /// `link_latency_seconds` (the intra-rack floor): a tuple crossing racks

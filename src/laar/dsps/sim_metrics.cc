@@ -135,8 +135,10 @@ std::string RunSummaryFromRegistry(const obs::MetricsRegistry& registry,
     return g == nullptr ? 0.0 : g->value();
   };
   std::string summary = StrFormat(
-      "drops=%llu switches=%llu worst_queue_depth=%llu in=%llu out=%llu",
+      "drops=%llu lost=%llu switches=%llu worst_queue_depth=%llu in=%llu "
+      "out=%llu",
       static_cast<unsigned long long>(counter("sim_dropped_tuples")),
+      static_cast<unsigned long long>(counter("sim_lost_tuples")),
       static_cast<unsigned long long>(counter("sim_activation_switches")),
       static_cast<unsigned long long>(gauge("sim_max_queue_depth")),
       static_cast<unsigned long long>(counter("sim_source_tuples")),
@@ -151,8 +153,10 @@ std::string RunSummaryFromRegistry(const obs::MetricsRegistry& registry,
 
 std::string AggregateRunSummaryFromRegistry(const obs::MetricsRegistry& registry) {
   return StrFormat(
-      "drops=%llu switches=%llu worst_queue_depth=%llu in=%llu out=%llu",
+      "drops=%llu lost=%llu switches=%llu worst_queue_depth=%llu in=%llu "
+      "out=%llu",
       static_cast<unsigned long long>(registry.SumCounters("sim_dropped_tuples")),
+      static_cast<unsigned long long>(registry.SumCounters("sim_lost_tuples")),
       static_cast<unsigned long long>(registry.SumCounters("sim_activation_switches")),
       static_cast<unsigned long long>(registry.MaxGauge("sim_max_queue_depth")),
       static_cast<unsigned long long>(registry.SumCounters("sim_source_tuples")),

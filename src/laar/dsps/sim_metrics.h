@@ -125,7 +125,11 @@ void PublishTo(obs::MetricsRegistry* registry, const SimulationMetrics& metrics,
 
 /// One-line run digest sourced from the canonical `sim_*` registry entries
 /// (not from ad-hoc counters), e.g.
-/// "drops=12 switches=8 worst_queue_depth=40 in=1200 out=1100".
+/// "drops=12 lost=30 switches=8 worst_queue_depth=40 in=1200 out=1100".
+/// `drops` counts tuples dropped by queue overflow or shedding; `lost`
+/// is the loss ledger's total of lost tuple copies (`sim_lost_tuples`, all
+/// causes, drops included), so publish the ledger first
+/// (`obs::PublishLossLedger`) or it reads 0.
 std::string RunSummaryFromRegistry(const obs::MetricsRegistry& registry,
                                    const obs::MetricsRegistry::Labels& labels = {});
 

@@ -348,22 +348,16 @@ Status StreamSimulation::Build() {
     return Status::InvalidArgument(
         "the latency tracer is not supported by the windowed engine");
   }
-  pairwise_ = options_.window_mode == RuntimeOptions::WindowMode::kPairwise;
   if (windowed_) {
     if (options_.rack_latency_factor < 1 || options_.zone_latency_factor < 1) {
       return Status::InvalidArgument(
           "latency factors must be >= 1 window: a zero-latency cross-host "
           "link would break the conservative lookahead");
     }
-  } else {
-    if (pairwise_) {
-      return Status::InvalidArgument(
-          "window_mode=pairwise requires link_latency_seconds > 0");
-    }
-    if (options_.rack_latency_factor != 1 || options_.zone_latency_factor != 1) {
-      return Status::InvalidArgument(
-          "topology latency factors require link_latency_seconds > 0");
-    }
+  } else if (options_.rack_latency_factor != 1 ||
+             options_.zone_latency_factor != 1) {
+    return Status::InvalidArgument(
+        "topology latency factors require link_latency_seconds > 0");
   }
   uniform_latency_ =
       options_.rack_latency_factor == 1 && options_.zone_latency_factor == 1;
@@ -822,7 +816,6 @@ void StreamSimulation::RunWindowedLoop() {
   exec::ShardRunner runner(num_shards_, runner_options);
   obs::EngineProfiler* profiler = profiling_ ? options_.profiler : nullptr;
   if (profiler != nullptr) {
-    profiler->SetWindowMode(pairwise_ ? "pairwise" : "global");
     profiler->SetRunnerWorkers(runner.workers());
     profiler->SetLookahead(lookahead_);
     runner.set_phase_observer(
@@ -893,16 +886,14 @@ void StreamSimulation::RunWindowedLoop() {
 
   // Round loop. Each round plans a per-shard advancement target, dispatches
   // the shards with work, then (workers parked again) moves sealed traffic
-  // and closes matured barriers. Global mode targets one lockstep window per
-  // round — the historical phase schedule. Pairwise mode targets each
-  // shard's safe horizon: the minimum over inbound neighbors `s` of
-  // `crossed(s) + lookahead(s, d)` (a message from `s` still unsealed —
-  // including a control-time emission into the window below its crossing —
-  // has due >= crossed(s) + lookahead, so every due the target window needs
-  // is already distributed). Both modes cap targets at the next control
-  // time, so control actions always run with every shard parked at exactly
-  // that time — the same control-before-local order at equal times, and the
-  // same per-shard stop set, as the historical engine.
+  // and closes matured barriers. A shard's target is its safe horizon: the
+  // minimum over inbound neighbors `s` of `crossed(s) + lookahead(s, d)`
+  // (a message from `s` still unsealed — including a control-time emission
+  // into the window below its crossing — has due >= crossed(s) + lookahead,
+  // so every due the target window needs is already distributed), capped at
+  // the next control time. Control actions therefore always run with every
+  // shard parked at exactly that time: control-before-local at equal times,
+  // and the same per-shard stop set at every shard count.
   for (;;) {
     sim::SimTime min_now = shards_[0]->sim.now();
     for (const auto& shard : shards_) min_now = std::min(min_now, shard->sim.now());
@@ -931,21 +922,16 @@ void StreamSimulation::RunWindowedLoop() {
     }
 
     const uint64_t cap_barrier = barrier_at_or_below(cap_time, closed);
-    const uint64_t floor_crossed = min_crossed();
     selected.clear();
     for (int s = 0; s < num_shards_; ++s) {
       Shard* shard = shards_[static_cast<size_t>(s)].get();
       uint64_t safe = UINT64_MAX;
-      if (pairwise_) {
-        for (int src = 0; src < num_shards_; ++src) {
-          if (src == s) continue;
-          const uint32_t factor =
-              lookahead_[static_cast<size_t>(src)][static_cast<size_t>(s)];
-          if (factor == 0) continue;  // no inbound edge from that shard
-          safe = std::min(safe, shards_[static_cast<size_t>(src)]->crossed + factor);
-        }
-      } else {
-        safe = floor_crossed + 1;  // lockstep: one window per round
+      for (int src = 0; src < num_shards_; ++src) {
+        if (src == s) continue;
+        const uint32_t factor =
+            lookahead_[static_cast<size_t>(src)][static_cast<size_t>(s)];
+        if (factor == 0) continue;  // no inbound edge from that shard
+        safe = std::min(safe, shards_[static_cast<size_t>(src)]->crossed + factor);
       }
       const uint64_t target_barrier = std::min(safe, cap_barrier);
       const sim::SimTime target_time =
@@ -956,59 +942,56 @@ void StreamSimulation::RunWindowedLoop() {
       shard->target_barrier = target_barrier;
       shard->target_time = target_time;
       shard->final_round = false;
-      if (pairwise_) {
-        // Idle-shard skip: a shard with no heap event before its target, no
-        // due batch a target window would drain, and no unsealed outbox
-        // cannot produce or observe anything until the target — advance its
-        // clock and window bookkeeping without dispatching it. (Global mode
-        // keeps the historical dispatch-every-shard schedule.)
-        const bool opens_last = target_time > barrier_time(target_barrier);
-        bool idle = true;
-        sim::SimTime next_event = 0.0;
-        if (shard->sim.NextEventTime(&next_event) && next_event < target_time) {
-          idle = false;
-        }
-        if (idle && !shard->pending.empty()) {
-          uint64_t drain_limit = target_barrier;
-          if (!opens_last && drain_limit > 0) --drain_limit;
-          if (shard->pending.begin()->first <= drain_limit) idle = false;
-        }
-        if (idle) {
-          for (const auto& box : shard->outbox) {
-            if (!box.empty()) {
-              idle = false;
-              break;
-            }
+      // Idle-shard skip: a shard with no heap event before its target, no
+      // due batch a target window would drain, and no unsealed outbox
+      // cannot produce or observe anything until the target — advance its
+      // clock and window bookkeeping without dispatching it.
+      const bool opens_last = target_time > barrier_time(target_barrier);
+      bool idle = true;
+      sim::SimTime next_event = 0.0;
+      if (shard->sim.NextEventTime(&next_event) && next_event < target_time) {
+        idle = false;
+      }
+      if (idle && !shard->pending.empty()) {
+        uint64_t drain_limit = target_barrier;
+        if (!opens_last && drain_limit > 0) --drain_limit;
+        if (shard->pending.begin()->first <= drain_limit) idle = false;
+      }
+      if (idle) {
+        for (const auto& box : shard->outbox) {
+          if (!box.empty()) {
+            idle = false;
+            break;
           }
         }
-        if (idle) {
-          if (options_.trace_recorder != nullptr) {
-            // A previous control-capped slice may have left events of the
-            // still-open window unmarked; tag them with that window before
-            // the skip rebases the bookkeeping, or they would inherit a
-            // later window's mark and merge out of (time, host) order.
-            const size_t prev_end = shard->trace_marks.empty()
-                                        ? shard->trace_merged
-                                        : shard->trace_marks.back().second;
-            if (shard->trace_buffer.size() > prev_end) {
-              shard->trace_marks.emplace_back(shard->window_index,
-                                              shard->trace_buffer.size());
-            }
+      }
+      if (idle) {
+        if (options_.trace_recorder != nullptr) {
+          // A previous control-capped slice may have left events of the
+          // still-open window unmarked; tag them with that window before
+          // the skip rebases the bookkeeping, or they would inherit a
+          // later window's mark and merge out of (time, host) order.
+          const size_t prev_end = shard->trace_marks.empty()
+                                      ? shard->trace_merged
+                                      : shard->trace_marks.back().second;
+          if (shard->trace_buffer.size() > prev_end) {
+            shard->trace_marks.emplace_back(shard->window_index,
+                                            shard->trace_buffer.size());
           }
-          shard->sim.RunBefore(target_time);
-          shard->crossed = target_barrier;
-          uint64_t drain_limit = target_barrier;
-          if (!opens_last && drain_limit > 0) --drain_limit;
-          shard->drained = std::max(shard->drained, drain_limit);
-          if (opens_last) {
-            shard->window_index = target_barrier;
-          } else if (target_barrier > 0) {
-            shard->window_index = target_barrier - 1;
-          }
-          shard->phase_end = target_time;
-          ++shard->sched_skips;
-          continue;
         }
+        shard->sim.RunBefore(target_time);
+        shard->crossed = target_barrier;
+        uint64_t drain_limit = target_barrier;
+        if (!opens_last && drain_limit > 0) --drain_limit;
+        shard->drained = std::max(shard->drained, drain_limit);
+        if (opens_last) {
+          shard->window_index = target_barrier;
+        } else if (target_barrier > 0) {
+          shard->window_index = target_barrier - 1;
+        }
+        shard->phase_end = target_time;
+        ++shard->sched_skips;
+        continue;
       }
       ++shard->sched_dispatches;
       selected.push_back(s);
@@ -1043,18 +1026,16 @@ void StreamSimulation::RunWindowedLoop() {
     shard->target_time = horizon;
     shard->target_barrier = shard->crossed;
     shard->final_round = true;
-    if (pairwise_) {
-      sim::SimTime next_event = 0.0;
-      bool idle = !(shard->sim.NextEventTime(&next_event) && next_event <= horizon);
-      if (idle && !shard->pending.empty() &&
-          shard->pending.begin()->first <= shard->crossed) {
-        idle = false;
-      }
-      if (idle) {
-        shard->sim.RunUntil(horizon);
-        ++shard->sched_skips;
-        continue;
-      }
+    sim::SimTime next_event = 0.0;
+    bool idle = !(shard->sim.NextEventTime(&next_event) && next_event <= horizon);
+    if (idle && !shard->pending.empty() &&
+        shard->pending.begin()->first <= shard->crossed) {
+      idle = false;
+    }
+    if (idle) {
+      shard->sim.RunUntil(horizon);
+      ++shard->sched_skips;
+      continue;
     }
     ++shard->sched_dispatches;
     selected.push_back(s);
@@ -1136,9 +1117,8 @@ void StreamSimulation::DrainDue(Shard* shard, uint64_t barrier) {
   std::vector<NetMessage>& batch = it->second;
   // (dst_host, src_host, src_seq) is unique per message and independent of
   // the partition, so this sort fixes one delivery order for all shard
-  // counts and both window modes. Deliveries to different hosts touch
-  // disjoint state; per (src_host, dst_host) pair the order is emission
-  // order.
+  // counts. Deliveries to different hosts touch disjoint state; per
+  // (src_host, dst_host) pair the order is emission order.
   std::sort(batch.begin(), batch.end(),
             [](const NetMessage& a, const NetMessage& b) {
               if (a.dst_host != b.dst_host) return a.dst_host < b.dst_host;
@@ -1215,9 +1195,8 @@ void StreamSimulation::SealWindow(Shard* shard) {
 
 void StreamSimulation::CloseBarrier(uint64_t index, sim::SimTime stop) {
   // Sink arrivals due at this barrier. Replay order must be fixed across
-  // partitions and window modes because sink-latency accumulation is
-  // FP-order sensitive; (src_host, src_seq) is unique and
-  // partition-invariant.
+  // partitions because sink-latency accumulation is FP-order sensitive;
+  // (src_host, src_seq) is unique and partition-invariant.
   sink_scratch_.clear();
   for (auto& shard : shards_) {
     size_t i = shard->sink_consumed;

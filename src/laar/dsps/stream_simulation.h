@@ -47,9 +47,10 @@ namespace laar::dsps {
 ///  - the historical synchronous engine (latency 0): one event heap, tuples
 ///    cross hosts within the event that emitted them;
 ///  - the conservative-window engine (latency L > 0): hosts are partitioned
-///    over `shards` event engines that advance in lockstep windows of width
-///    L; every cross-host tuple travels through a double-buffered network
-///    and arrives at the first window barrier at least L after emission.
+///    over `shards` event engines that advance in windows of width L, each
+///    up to its per-shard-pair lookahead horizon (DESIGN.md §12); every
+///    cross-host tuple travels through a double-buffered network and
+///    arrives at the first window barrier at least L after emission.
 ///    For a fixed L, every shard count produces byte-identical
 ///    metrics/trace/timeseries outputs — shards only buy wall-clock speed.
 class StreamSimulation {
@@ -133,10 +134,10 @@ class StreamSimulation {
   void RecoverHost(model::HostId host, uint64_t crash_epoch);
 
   // --- windowed / sharded engine (DESIGN.md §10, §12) ---
-  /// The coordinator loop: plans per-shard advancement rounds (lockstep
-  /// windows in global mode, per-pair lookahead sprints in pairwise mode),
-  /// dispatches them on the ShardRunner, and interleaves control actions
-  /// and barrier closures on the coordinator thread.
+  /// The coordinator loop: plans per-shard advancement rounds (each shard
+  /// sprints to its per-pair lookahead horizon), dispatches them on the
+  /// ShardRunner, and interleaves control actions and barrier closures on
+  /// the coordinator thread.
   void RunWindowedLoop();
   /// Windowed-mode source driver: emits every tuple of the current phase
   /// inline (emissions touch only per-source and per-shard state, so they
@@ -215,7 +216,6 @@ class StreamSimulation {
   bool windowed_ = false;
   int num_shards_ = 1;
   bool profiling_ = false;  ///< options_.profiler != nullptr, cached at Build
-  bool pairwise_ = false;   ///< window_mode == kPairwise, cached at Build
   /// All latency factors are 1: message dues are `emit_window + 2` without a
   /// per-pair table lookup (the historical uniform topology).
   bool uniform_latency_ = true;

@@ -224,7 +224,6 @@ json::Value EngineProfile::ToJson() const {
       "cross_shard_bytes",
       json::Value::Int(
           static_cast<int64_t>(CrossShardTuples() * kNetMessageWireBytes)));
-  deterministic.Set("window_mode", json::Value::String(window_mode));
   deterministic.Set("dispatch_rounds",
                     json::Value::Int(static_cast<int64_t>(dispatch_rounds)));
   json::Value lookahead = json::Value::MakeArray();
@@ -343,9 +342,6 @@ Result<EngineProfile> EngineProfile::FromJson(const json::Value& value) {
 
   EngineProfile profile;
   profile.shards = static_cast<int>(GetU64Field(**deterministic, "shards"));
-  Result<std::string> mode =
-      (*deterministic)->GetOr("window_mode", empty_string).AsString();
-  profile.window_mode = mode.ok() ? *mode : "";
   profile.dispatch_rounds = GetU64Field(**deterministic, "dispatch_rounds");
   profile.window_seconds = GetDoubleField(**aggregate, "window_seconds");
   profile.windows = GetU64Field(**aggregate, "windows");
@@ -484,10 +480,6 @@ void EngineProfiler::SetControlEvents(uint64_t events) {
 
 void EngineProfiler::SetEngineEvents(uint64_t events) {
   profile_.engine_events = events;
-}
-
-void EngineProfiler::SetWindowMode(const char* mode) {
-  profile_.window_mode = mode == nullptr ? "" : mode;
 }
 
 void EngineProfiler::SetDispatchRounds(uint64_t rounds) {

@@ -55,16 +55,14 @@ struct EngineProfile {
   /// network). Bytes are `tuples * kNetMessageWireBytes`.
   std::vector<std::vector<uint64_t>> traffic_tuples;
 
-  // ---- deterministic: scheduling shape (mode-dependent) --------------
-  // Functions of the event timeline *and* the window mode — deterministic
-  // for a fixed configuration, but intentionally kept out of the aggregate
-  // subset, which is the mode- and shard-invariant slice.
-  std::string window_mode;       ///< "global" / "pairwise"; empty = sync engine
-  uint64_t dispatch_rounds = 0;  ///< coordinator planning rounds executed
+  // ---- deterministic: scheduling shape (partition-dependent) ---------
+  // Functions of the event timeline *and* the shard partition —
+  // deterministic for a fixed configuration, but intentionally kept out of
+  // the aggregate subset, which is the shard-invariant slice.
+  uint64_t dispatch_rounds = 0;  ///< coordinator planning rounds; 0 = sync engine
   /// [src][dst] per-shard-pair lookahead in windows (DESIGN.md §12):
   /// the minimum latency factor over placed application edges crossing the
-  /// pair, 0 when no such edge exists. Empty unless the engine derived one
-  /// (pairwise mode).
+  /// pair, 0 when no such edge exists. Empty unless the windowed engine ran.
   std::vector<std::vector<uint32_t>> lookahead_windows;
   std::vector<uint64_t> shard_windows_run;  ///< [shard] windows crossed
   std::vector<uint64_t> shard_dispatches;   ///< [shard] rounds it was dispatched in
@@ -175,10 +173,9 @@ class EngineProfiler {
                       uint64_t max_inbox, uint64_t max_host_backlog);
   void SetControlEvents(uint64_t events);
   void SetEngineEvents(uint64_t events);
-  /// Window-scheduling shape (windowed engine only): mode name, planning
-  /// round total, the derived lookahead matrix, and per-shard scheduling
-  /// totals (windows crossed / rounds dispatched / idle rounds skipped).
-  void SetWindowMode(const char* mode);
+  /// Window-scheduling shape (windowed engine only): planning round total,
+  /// the derived lookahead matrix, and per-shard scheduling totals (windows
+  /// crossed / rounds dispatched / idle rounds skipped).
   void SetDispatchRounds(uint64_t rounds);
   void SetLookahead(const std::vector<std::vector<uint32_t>>& lookahead);
   void SetShardScheduling(int shard, uint64_t windows, uint64_t dispatches,

@@ -11,6 +11,7 @@
 #include "laar/ftsearch/ft_search.h"
 #include "laar/obs/chrome_trace.h"
 #include "laar/obs/latency_tracer.h"
+#include "laar/obs/loss_ledger.h"
 #include "laar/obs/trace_recorder.h"
 
 namespace laar::runtime {
@@ -294,6 +295,7 @@ Result<AppExperimentRecord> RunAppExperiment(const HarnessOptions& options, uint
     }
     if (options.metrics != nullptr) {
       dsps::PublishTo(options.metrics, metrics, scenario_labels);
+      obs::PublishLossLedger(options.metrics, metrics.losses, scenario_labels);
       if (tracer.has_value()) {
         obs::PublishBreakdown(options.metrics, tracer->Breakdown(), scenario_labels);
       }

@@ -18,6 +18,7 @@
 #include "laar/model/placement.h"
 #include "laar/obs/chrome_trace.h"
 #include "laar/obs/latency_tracer.h"
+#include "laar/obs/loss_ledger.h"
 #include "laar/obs/metrics_registry.h"
 #include "laar/obs/timeseries.h"
 #include "laar/obs/trace_recorder.h"
@@ -383,6 +384,34 @@ TEST(SimulationTracingTest, RegistrySummaryReflectsTheRun) {
   // one label set exists.
   const std::string aggregate = dsps::AggregateRunSummaryFromRegistry(registry);
   EXPECT_EQ(summary.substr(0, aggregate.size()), aggregate);
+}
+
+/// The headline must not hide the ledger: on a run that loses tuple copies
+/// to a crash, `lost=` in both summary lines is the ledger total, next to a
+/// `drops=` that counts only overflow and shedding.
+TEST(SimulationTracingTest, RegistrySummaryShowsLedgerTotal) {
+  SimFixture f;
+  auto trace = InputTrace::Step(0, 1, 30.0, 80.0);
+  ASSERT_TRUE(trace.ok());
+  ActivationStrategy laar = f.LaarStrategy();
+  RuntimeOptions options;
+  StreamSimulation simulation(f.app, f.cluster, f.placement, laar, *trace, options);
+  ASSERT_TRUE(simulation.ScheduleHostCrash(1, 40.0, 5.0).ok());
+  ASSERT_TRUE(simulation.Run().ok());
+  const dsps::SimulationMetrics& m = simulation.metrics();
+  ASSERT_GT(m.crash_lost_tuples, 0u);
+  ASSERT_GT(m.losses.Total(), m.dropped_tuples);
+
+  obs::MetricsRegistry registry;
+  dsps::PublishTo(&registry, m);
+  obs::PublishLossLedger(&registry, m.losses);
+  const std::string expected =
+      "drops=" + std::to_string(m.dropped_tuples) +
+      " lost=" + std::to_string(m.losses.Total()) + " ";
+  const std::string summary = dsps::RunSummaryFromRegistry(registry);
+  EXPECT_EQ(summary.rfind(expected, 0), 0u) << summary;
+  const std::string aggregate = dsps::AggregateRunSummaryFromRegistry(registry);
+  EXPECT_EQ(aggregate.rfind(expected, 0), 0u) << aggregate;
 }
 
 // --------------------------------------------------------- latency tracing

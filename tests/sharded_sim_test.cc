@@ -1,15 +1,17 @@
 // The conservative-window engine's central contract (DESIGN.md §10): for a
 // fixed link latency, the shard count is unobservable — every exported
 // artifact (metrics-registry JSON, Chrome trace, telemetry CSV, health
-// report) is byte-identical whether the run used 1, 2, or 4 shards. The
-// single-shard run is genuinely single-threaded (no worker is spawned), so
-// it doubles as the determinism reference the multi-shard runs are held to.
+// report) is byte-identical whether the run used 1, 2, or 4 shards, and
+// equal to pinned golden hashes. The goldens were captured under the
+// global-lockstep schedule the engine carried before the per-shard-pair
+// schedule (DESIGN.md §12) became its only one, so they also hold that
+// schedule to the historical delivery semantics byte for byte.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,18 +59,12 @@ struct RunHashes {
 
 enum class Outage { kNone, kHostCrash, kRackOutage };
 
-constexpr RuntimeOptions::WindowMode kGlobalMode =
-    RuntimeOptions::WindowMode::kGlobal;
-constexpr RuntimeOptions::WindowMode kPairwiseMode =
-    RuntimeOptions::WindowMode::kPairwise;
-
 /// One windowed run of a generated application under static replication,
 /// with every observer attached, at the given shard count. Everything
-/// except `shards`, the window mode, and the topology latency factors is
-/// held fixed, so differing hashes can only come from the partitioning or
-/// the synchronization schedule.
+/// except `shards` and the topology latency factors is held fixed, so
+/// hashes differing across shard counts can only come from the
+/// partitioning or the synchronization schedule.
 RunHashes RunSharded(uint64_t seed, int shards, Outage outage,
-                     RuntimeOptions::WindowMode mode = kGlobalMode,
                      int rack_factor = 1, int zone_factor = 1) {
   appgen::GeneratorOptions generator;
   generator.num_pes = 12;
@@ -92,7 +88,6 @@ RunHashes RunSharded(uint64_t seed, int shards, Outage outage,
   options.telemetry = &registry;
   options.link_latency_seconds = kLink;
   options.shards = shards;
-  options.window_mode = mode;
   options.rack_latency_factor = rack_factor;
   options.zone_latency_factor = zone_factor;
   StreamSimulation simulation(app->descriptor, app->cluster, app->placement, sr,
@@ -128,30 +123,64 @@ RunHashes RunSharded(uint64_t seed, int shards, Outage outage,
   return hashes;
 }
 
-void ExpectShardCountInvariant(uint64_t seed, Outage outage) {
-  const RunHashes one = RunSharded(seed, 1, outage);
-  const RunHashes two = RunSharded(seed, 2, outage);
-  const RunHashes four = RunSharded(seed, 4, outage);
-  EXPECT_EQ(one.metrics, two.metrics) << "seed " << seed;
-  EXPECT_EQ(one.trace, two.trace) << "seed " << seed;
-  EXPECT_EQ(one.timeseries, two.timeseries) << "seed " << seed;
-  EXPECT_EQ(one.health, two.health) << "seed " << seed;
-  EXPECT_EQ(one.metrics, four.metrics) << "seed " << seed;
-  EXPECT_EQ(one.trace, four.trace) << "seed " << seed;
-  EXPECT_EQ(one.timeseries, four.timeseries) << "seed " << seed;
-  EXPECT_EQ(one.health, four.health) << "seed " << seed;
+/// Runs the configuration at 1, 2 and 4 shards and holds every artifact
+/// hash to `golden`. LAAR_PRINT_HASHES=1 prints the observed hashes for an
+/// intended semantic change.
+void ExpectShardCountInvariant(uint64_t seed, Outage outage,
+                               const RunHashes& golden, int rack_factor = 1,
+                               int zone_factor = 1) {
+  for (int shards : {1, 2, 4}) {
+    const RunHashes got =
+        RunSharded(seed, shards, outage, rack_factor, zone_factor);
+    if (std::getenv("LAAR_PRINT_HASHES") != nullptr) {
+      std::printf("seed %llu shards %d: {0x%016llxULL, 0x%016llxULL, "
+                  "0x%016llxULL, 0x%016llxULL}\n",
+                  static_cast<unsigned long long>(seed), shards,
+                  static_cast<unsigned long long>(got.metrics),
+                  static_cast<unsigned long long>(got.trace),
+                  static_cast<unsigned long long>(got.timeseries),
+                  static_cast<unsigned long long>(got.health));
+    }
+    EXPECT_EQ(got.metrics, golden.metrics) << "seed " << seed << " s" << shards;
+    EXPECT_EQ(got.trace, golden.trace) << "seed " << seed << " s" << shards;
+    EXPECT_EQ(got.timeseries, golden.timeseries)
+        << "seed " << seed << " s" << shards;
+    EXPECT_EQ(got.health, golden.health) << "seed " << seed << " s" << shards;
+  }
 }
 
 TEST(ShardedSimTest, ShardCountIsUnobservable) {
-  ExpectShardCountInvariant(6, Outage::kNone);
+  ExpectShardCountInvariant(
+      6, Outage::kNone,
+      {0xe229aacf4e350a4dULL, 0x7c493defc221e3bdULL, 0xd7690cd22e823007ULL,
+       0x1342e988b9f85b73ULL});
 }
 
 TEST(ShardedSimTest, ShardCountIsUnobservableUnderHostCrashes) {
-  ExpectShardCountInvariant(8, Outage::kHostCrash);
+  // Crash and recovery control events land mid-sprint under per-pair skew:
+  // the sharpest probe of the per-pair horizon.
+  ExpectShardCountInvariant(
+      8, Outage::kHostCrash,
+      {0xac1bef94b3e0a33bULL, 0xb5917f7cc9697b9dULL, 0xbfccc7af1b980e86ULL,
+       0x9015c73dcac9d430ULL});
 }
 
 TEST(ShardedSimTest, ShardCountIsUnobservableUnderRackOutage) {
-  ExpectShardCountInvariant(11, Outage::kRackOutage);
+  ExpectShardCountInvariant(
+      11, Outage::kRackOutage,
+      {0xee674e595e65a98bULL, 0x79ab72f78333b549ULL, 0x4c784573a335997cULL,
+       0x279d6c9515c16455ULL});
+}
+
+/// Heterogeneous link-latency factors change delivery times (so their
+/// hashes differ from the factor-1 run above), but within a fixed factor
+/// set the shard count stays unobservable.
+TEST(ShardedSimTest, LatencyFactorsAreShardInvariant) {
+  ExpectShardCountInvariant(
+      6, Outage::kNone,
+      {0xa53e53847e51a65fULL, 0x580e44fca407f081ULL, 0xc8b6fdabc9633893ULL,
+       0x0551c66275dd6a3dULL},
+      /*rack_factor=*/2, /*zone_factor=*/4);
 }
 
 /// A hand-built pipeline on the windowed engine: tuples still flow end to
@@ -325,17 +354,23 @@ TEST(ShardedSimTest, ProfilerAggregateIsShardInvariantAndGolden) {
 /// Invariants of the measured (wall-clock) section: values vary run to run,
 /// but their structure cannot — stalls are non-negative by construction
 /// (worker intervals nest inside the coordinator's), the loop was actually
-/// timed, every window maps to at least one phase, and the critical path
+/// timed, a phase is only run by a planning round that dispatched a shard,
+/// no shard crosses more windows than the run has, and the critical path
 /// cannot exceed the summed phase walls.
 TEST(ShardedSimTest, ProfilerMeasuredSectionInvariants) {
   for (int shards : {1, 4}) {
     const obs::EngineProfile profile = RunProfiled(13, shards).profile;
     EXPECT_GT(profile.loop_wall_seconds, 0.0);
-    EXPECT_GE(profile.phases, profile.windows) << "shards=" << shards;
+    EXPECT_GE(profile.phases, 1u) << "shards=" << shards;
+    EXPECT_LE(profile.phases, profile.dispatch_rounds) << "shards=" << shards;
     EXPECT_GT(profile.windows, 0u);
     ASSERT_EQ(profile.shard_execute_seconds.size(), static_cast<size_t>(shards));
     ASSERT_EQ(profile.shard_stall_seconds.size(), static_cast<size_t>(shards));
+    ASSERT_EQ(profile.shard_windows_run.size(), static_cast<size_t>(shards));
     for (int shard = 0; shard < shards; ++shard) {
+      EXPECT_LE(profile.shard_windows_run[static_cast<size_t>(shard)],
+                profile.windows)
+          << "shards=" << shards << " shard " << shard;
       EXPECT_GE(profile.shard_execute_seconds[static_cast<size_t>(shard)], 0.0);
       EXPECT_GE(profile.shard_stall_seconds[static_cast<size_t>(shard)], 0.0);
     }
@@ -395,58 +430,19 @@ TEST(ShardedSimTest, ProfilerJsonRoundTripPreservesClosure) {
   // The per-window series deliberately does not survive serialization (only
   // its summary does), so the round-tripped aggregate is not compared.
   EXPECT_TRUE(parsed->window_events.empty());
+
+  // Profiles written while the engine still had a selectable schedule carry
+  // a "window_mode" key; they must keep parsing.
+  json::Value legacy = profile.ToJson();
+  json::Value deterministic = *legacy.Get("deterministic").value();
+  deterministic.Set("window_mode", json::Value::String("global"));
+  legacy.Set("deterministic", std::move(deterministic));
+  const auto legacy_parsed = obs::EngineProfile::FromJson(legacy);
+  ASSERT_TRUE(legacy_parsed.ok()) << legacy_parsed.status().ToString();
+  EXPECT_EQ(legacy_parsed->dispatch_rounds, profile.dispatch_rounds);
 }
 
 // --- adaptive per-shard-pair windows (DESIGN.md §12) ---
-
-void ExpectSameHashes(const RunHashes& a, const RunHashes& b, const char* what) {
-  EXPECT_EQ(a.metrics, b.metrics) << what;
-  EXPECT_EQ(a.trace, b.trace) << what;
-  EXPECT_EQ(a.timeseries, b.timeseries) << what;
-  EXPECT_EQ(a.health, b.health) << what;
-}
-
-/// The pairwise schedule is an optimization, not a semantic: every exported
-/// artifact is byte-identical to the global-lockstep run at every shard
-/// count. The single-shard case doubles as the degenerate check that
-/// pairwise mode with one shard reduces to the inline engine.
-TEST(ShardedSimTest, PairwiseWindowModeIsUnobservable) {
-  const RunHashes global = RunSharded(6, 1, Outage::kNone);
-  ExpectSameHashes(global, RunSharded(6, 1, Outage::kNone, kPairwiseMode),
-                   "pairwise s1");
-  ExpectSameHashes(global, RunSharded(6, 2, Outage::kNone, kPairwiseMode),
-                   "pairwise s2");
-  ExpectSameHashes(global, RunSharded(6, 4, Outage::kNone, kPairwiseMode),
-                   "pairwise s4");
-}
-
-/// Crash and outage control events land mid-phase under pairwise skew, so
-/// they are the sharpest probe of the per-pair horizon: the artifacts must
-/// still match the global run byte for byte.
-TEST(ShardedSimTest, PairwiseWindowModeIsUnobservableUnderOutages) {
-  ExpectSameHashes(RunSharded(8, 1, Outage::kHostCrash),
-                   RunSharded(8, 4, Outage::kHostCrash, kPairwiseMode),
-                   "host crash, pairwise s4");
-  ExpectSameHashes(RunSharded(11, 1, Outage::kRackOutage),
-                   RunSharded(11, 2, Outage::kRackOutage, kPairwiseMode),
-                   "rack outage, pairwise s2");
-}
-
-/// Heterogeneous link-latency factors change delivery times (so their
-/// hashes differ from the factor-1 runs), but within a fixed factor set
-/// the shard count and window mode stay unobservable.
-TEST(ShardedSimTest, LatencyFactorsAreShardAndModeInvariant) {
-  const RunHashes ref = RunSharded(6, 1, Outage::kNone, kGlobalMode, 2, 4);
-  ExpectSameHashes(ref, RunSharded(6, 4, Outage::kNone, kGlobalMode, 2, 4),
-                   "global s4, factors 2/4");
-  ExpectSameHashes(ref, RunSharded(6, 1, Outage::kNone, kPairwiseMode, 2, 4),
-                   "pairwise s1, factors 2/4");
-  ExpectSameHashes(ref, RunSharded(6, 4, Outage::kNone, kPairwiseMode, 2, 4),
-                   "pairwise s4, factors 2/4");
-  // Sanity: the factors actually changed something vs the uniform topology.
-  const RunHashes uniform = RunSharded(6, 1, Outage::kNone);
-  EXPECT_NE(ref.metrics, uniform.metrics);
-}
 
 /// Misconfigured window options must fail Build, not silently run with a
 /// broken conservative horizon.
@@ -471,12 +467,6 @@ TEST(ShardedSimTest, BuildRejectsInvalidWindowConfigurations) {
     RuntimeOptions options;
     options.link_latency_seconds = kLink;
     options.rack_latency_factor = 0;
-    EXPECT_FALSE(run_with(options).ok());
-  }
-  {
-    // Pairwise scheduling only exists on the windowed engine.
-    RuntimeOptions options;
-    options.window_mode = kPairwiseMode;
     EXPECT_FALSE(run_with(options).ok());
   }
   {
@@ -530,14 +520,12 @@ TEST(ShardedSimTest, LookaheadMatrixDerivation) {
   RuntimeOptions options;
   options.link_latency_seconds = kLink;
   options.shards = 4;
-  options.window_mode = kPairwiseMode;
   options.rack_latency_factor = 2;
   options.zone_latency_factor = 5;
   options.profiler = &profiler;
   StreamSimulation simulation(app, cluster, placement, sr, *trace, options);
   ASSERT_TRUE(simulation.Run().ok());
   const obs::EngineProfile& profile = profiler.profile();
-  EXPECT_EQ(profile.window_mode, "pairwise");
   // Row per source shard: the source (shard 0) feeds p0's replica shards
   // {0, 1} at factor 1; p0 -> p1 crosses zones in all four replica pairings
   // (factor 5); p1 -> p2 crosses racks inside zone 1, but only the
@@ -550,71 +538,10 @@ TEST(ShardedSimTest, LookaheadMatrixDerivation) {
       {0, 0, 2, 0},
   };
   EXPECT_EQ(profile.lookahead_windows, expected);
-}
-
-/// The acceptance criterion of the pairwise schedule: on a topology with a
-/// slow cross-zone link, the profiler's sync-overhead fraction is strictly
-/// lower than global lockstep's. Two single-replica-host PEs in different
-/// zones with a factor-8 link mean the downstream shard needs a barrier
-/// only every 8th window, and the upstream shard (no inbound cross-shard
-/// edge) free-runs between control events — while global mode pays a
-/// 2-thread barrier handoff every single window. Wall-clock measurements
-/// are noisy on a loaded box, so each mode takes its best of three runs.
-TEST(ShardedSimTest, PairwiseSyncOverheadLowerOnHeterogeneousTopology) {
-  model::ApplicationDescriptor app;
-  model::ComponentId source = app.graph.AddSource("s");
-  model::ComponentId pe0 = app.graph.AddPe("p0");
-  model::ComponentId pe1 = app.graph.AddPe("p1");
-  model::ComponentId sink = app.graph.AddSink("k");
-  ASSERT_TRUE(app.graph.AddEdge(source, pe0, 1.0, 0.0005 * kHz).ok());
-  ASSERT_TRUE(app.graph.AddEdge(pe0, pe1, 1.0, 0.0005 * kHz).ok());
-  ASSERT_TRUE(app.graph.AddEdge(pe1, sink, 1.0, 0.0).ok());
-  model::SourceRateSet r;
-  r.source = source;
-  r.rates = {20.0, 40.0};
-  r.labels = {"Low", "High"};
-  r.probabilities = {0.5, 0.5};
-  ASSERT_TRUE(app.input_space.AddSource(r).ok());
-  ASSERT_TRUE(app.Validate().ok());
-  // Two hosts in two different zones; both replicas of each PE pinned to
-  // one host (no anti-affinity required), so the only cross-shard edge is
-  // the slow zone link p0 (host 0 / shard 0) -> p1 (host 1 / shard 1).
-  model::Cluster cluster = model::Cluster::Homogeneous(2, kHz);
-  cluster.set_topology(model::FailureTopology::Uniform(2, 1, 1));
-  model::ReplicaPlacement placement(app.graph.num_components(), 2);
-  ASSERT_TRUE(placement.Assign(pe0, 0, 0).ok());
-  ASSERT_TRUE(placement.Assign(pe0, 1, 0).ok());
-  ASSERT_TRUE(placement.Assign(pe1, 0, 1).ok());
-  ASSERT_TRUE(placement.Assign(pe1, 1, 1).ok());
-  strategy::ActivationStrategy sr =
-      strategy::MakeStaticReplication(app.graph, app.input_space, 2);
-  auto trace = InputTrace::Step(0, 1, 30.0, 60.0);
-  ASSERT_TRUE(trace.ok());
-  auto best_overhead = [&](RuntimeOptions::WindowMode mode) {
-    double best = 1.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      obs::EngineProfiler profiler;
-      RuntimeOptions options;
-      options.link_latency_seconds = 0.01;  // 6000 windows over the horizon
-      options.shards = 2;
-      options.runner_workers = 2;  // force real threads even on 1-core CI
-      options.window_mode = mode;
-      options.zone_latency_factor = 8;
-      options.profiler = &profiler;
-      StreamSimulation simulation(app, cluster, placement, sr, *trace,
-                                  options);
-      EXPECT_TRUE(simulation.Run().ok());
-      best = std::min(best, profiler.profile().SyncOverheadFraction());
-      if (attempt == 0) {
-        EXPECT_EQ(profiler.profile().runner_workers, 2)
-            << "mode " << profiler.profile().window_mode;
-      }
-    }
-    return best;
-  };
-  const double global = best_overhead(kGlobalMode);
-  const double pairwise = best_overhead(kPairwiseMode);
-  EXPECT_LT(pairwise, global);
+  // Shard 0 has no inbound cross-shard edge and shards 2/3 only factor-2
+  // ones, so the schedule needs fewer planning rounds than the run has
+  // windows (a one-window-per-round schedule would need at least as many).
+  EXPECT_LT(profile.dispatch_rounds, profile.windows);
 }
 
 }  // namespace

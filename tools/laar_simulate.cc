@@ -11,7 +11,7 @@
 //                 [--fail-domain=rack:R|zone:Z] [--crash-schedule=H@T+D,...]
 //                 [--worst-case] [--placement=balanced|roundrobin|domain]
 //                 [--jobs=N] [--shards=N] [--link-latency=S]
-//                 [--window-mode=global|pairwise] [--runner-workers=N]
+//                 [--runner-workers=N]
 //                 [--rack-latency-factor=K] [--zone-latency-factor=K]
 //                 [--trace-out=run.json] [--trace-categories=drops,failures]
 //                 [--trace-capacity=N]
@@ -51,15 +51,13 @@
 // --shards=1 and --shards=2). Incompatible with --latency-sample-rate (the
 // per-tuple causal tracer is a synchronous-engine feature).
 //
-// --window-mode picks the windowed engine's synchronization schedule:
-// `global` (the default) advances every shard in lockstep windows;
-// `pairwise` (DESIGN.md §12) derives a per-shard-pair lookahead matrix from
-// the placed application edges and lets each shard sprint to the minimum of
-// its inbound neighbors' horizons, skipping idle shards entirely. Both
-// modes produce byte-identical artifacts — the mode only changes wall-clock
-// behavior. --rack-latency-factor / --zone-latency-factor (integers >= 1,
-// in windows) stretch cross-rack / cross-zone links on top of
-// --link-latency, widening the pairwise lookahead between distant shards.
+// The windowed engine schedules shards pairwise (DESIGN.md §12): it derives
+// a per-shard-pair lookahead matrix from the placed application edges and
+// lets each shard sprint to the minimum of its inbound neighbors' horizons,
+// skipping idle shards entirely. --rack-latency-factor /
+// --zone-latency-factor (integers >= 1, in windows) stretch cross-rack /
+// cross-zone links on top of --link-latency, widening the lookahead between
+// distant shards.
 // --runner-workers caps the ShardRunner's executor threads (0 = the
 // machine's hardware concurrency; the effective value is recorded in the
 // profile as runner_workers).
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
                  "       [--fail-domain=rack:R|zone:Z] [--crash-schedule=H@T+D,...]\n"
                  "       [--placement=balanced|roundrobin|domain]\n"
                  "       [--jobs=N] [--shards=N] [--link-latency=S]\n"
-                 "       [--window-mode=global|pairwise] [--runner-workers=N]\n"
+                 "       [--runner-workers=N]\n"
                  "       [--rack-latency-factor=K] [--zone-latency-factor=K]\n"
                  "       [--trace-out=run.json] [--trace-categories=a,b,...]\n"
                  "       [--trace-capacity=N]\n"
@@ -193,14 +191,6 @@ int main(int argc, char** argv) {
   laar::dsps::RuntimeOptions runtime;
   runtime.shards = flags.GetInt("shards", 1);
   runtime.link_latency_seconds = flags.GetDouble("link-latency", 0.0);
-  const std::string window_mode = flags.GetString("window-mode", "global");
-  if (window_mode == "pairwise") {
-    runtime.window_mode = laar::dsps::RuntimeOptions::WindowMode::kPairwise;
-  } else if (window_mode != "global") {
-    std::fprintf(stderr, "--window-mode must be global or pairwise, got %s\n",
-                 window_mode.c_str());
-    return 2;
-  }
   runtime.rack_latency_factor = flags.GetInt("rack-latency-factor", 1);
   runtime.zone_latency_factor = flags.GetInt("zone-latency-factor", 1);
   runtime.runner_workers = flags.GetInt("runner-workers", 0);
@@ -435,6 +425,7 @@ int main(int argc, char** argv) {
   // One-line digest sourced from the metrics registry (the same canonical
   // keys the corpus reports publish).
   laar::dsps::PublishTo(&registry, m);
+  laar::obs::PublishLossLedger(&registry, m.losses);
   if (tracer.has_value()) {
     const laar::obs::LatencyBreakdown breakdown = tracer->Breakdown();
     std::printf("%s", breakdown.ToString().c_str());
@@ -485,7 +476,6 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_out.empty()) {
-    laar::obs::PublishLossLedger(&registry, m.losses);
     laar::json::Value metrics_doc = registry.ToJson();
     metrics_doc.Set("loss_ledger", m.losses.ToJson());
     metrics_doc.Set("run_info", run_info.ToJson());

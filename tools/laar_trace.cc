@@ -272,10 +272,9 @@ int main(int argc, char** argv) {
         profile.shards, static_cast<unsigned long long>(profile.windows),
         profile.window_seconds * 1e3, profile.EmptyWindowFraction() * 100.0,
         static_cast<unsigned long long>(profile.engine_events));
-    if (!profile.window_mode.empty()) {
+    if (profile.dispatch_rounds > 0) {
       std::printf(
-          "  scheduling: %s mode, %llu dispatch rounds, %d runner workers\n",
-          profile.window_mode.c_str(),
+          "  scheduling: %llu dispatch rounds, %d runner workers\n",
           static_cast<unsigned long long>(profile.dispatch_rounds),
           profile.runner_workers);
     }
