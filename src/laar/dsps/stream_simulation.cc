@@ -1,8 +1,8 @@
 #include "laar/dsps/stream_simulation.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <map>
 #include <utility>
 
 #include "laar/common/stopwatch.h"
@@ -84,6 +84,65 @@ class TupleRing {
   size_t tail_ = 0;
   size_t size_ = 0;
 };
+
+/// Slots keyed by a monotone window or barrier index. Live keys lie in
+/// [base, base + capacity); `At` doubles the ring (re-slotting the live
+/// keys) for a key past its end, so a producer may run any distance ahead
+/// of the consumer. Slot storage is reused as the base advances: the owner
+/// returns every slot below the new base to its default (empty) state
+/// before moving the base past it.
+template <typename T>
+class WindowRing {
+ public:
+  uint64_t base() const { return base_; }
+  size_t capacity() const { return slots_.size(); }
+
+  /// The slot of `key` (>= base), growing the ring to cover it.
+  T& At(uint64_t key) {
+    assert(key >= base_);
+    if (key - base_ >= slots_.size()) Grow(key - base_ + 1);
+    return slots_[static_cast<size_t>(key & mask_)];
+  }
+
+  /// The slot of `key`, or null when `key` lies outside the live range.
+  T* Find(uint64_t key) {
+    if (key < base_ || key - base_ >= slots_.size()) return nullptr;
+    return &slots_[static_cast<size_t>(key & mask_)];
+  }
+
+  void set_base(uint64_t base) { base_ = base; }
+
+ private:
+  void Grow(uint64_t need) {
+    size_t capacity = std::max<size_t>(8, slots_.size());
+    while (capacity < need) capacity *= 2;
+    std::vector<T> grown(capacity);
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      const uint64_t key = base_ + i;
+      grown[static_cast<size_t>(key & (capacity - 1))] =
+          std::move(slots_[static_cast<size_t>(key & mask_)]);
+    }
+    slots_ = std::move(grown);
+    mask_ = capacity - 1;
+  }
+
+  std::vector<T> slots_;
+  uint64_t mask_ = 0;
+  uint64_t base_ = 0;
+};
+
+/// One stable counting-sort pass: scatters `in` into `out` ordered by
+/// `key(item)` in [0, range), keeping the input order among equal keys.
+/// `counts` is caller-owned scratch, so repeated passes allocate nothing.
+template <typename T, typename Key>
+void CountingPass(const std::vector<T>& in, std::vector<T>* out, size_t range,
+                  std::vector<uint32_t>* counts, Key key) {
+  counts->assign(range + 1, 0);
+  for (const T& item : in) ++(*counts)[key(item) + 1];
+  for (size_t k = 1; k <= range; ++k) (*counts)[k] += (*counts)[k - 1];
+  out->resize(in.size());
+  for (const T& item : in) (*out)[(*counts)[key(item)]++] = item;
+}
 
 }  // namespace
 
@@ -238,7 +297,6 @@ struct StreamSimulation::Shard {
   // --- window progress (owned by the shard's slice; the coordinator reads
   // and, for skipped shards, advances it only while workers are parked) ---
   uint64_t crossed = 0;       ///< barriers crossed == index of the open window
-  uint64_t drained = 0;       ///< last barrier whose due messages were drained
   uint64_t window_index = 0;  ///< window currently (or most recently) running
   sim::SimTime phase_end = 0.0;  ///< end of the running slice (sources park here)
 
@@ -247,17 +305,24 @@ struct StreamSimulation::Shard {
   uint64_t target_barrier = 0;
   bool final_round = false;
 
-  // Inbound messages keyed by due barrier (a map, not a ring: a sprinting
-  // neighbor may seal windows far ahead, and an edgeless shard runs to the
-  // next control time in one slice). Drained — sorted and delivered — when
-  // the window opening at that barrier starts.
-  std::map<uint64_t, std::vector<NetMessage>> pending;
+  // Inbound messages bucketed by due barrier; the ring's base is the first
+  // barrier not yet drained. It grows on demand: a sprinting neighbor may
+  // seal windows far ahead, and an edgeless shard runs to the next control
+  // time in one slice. A bucket is drained — ordered and delivered — when
+  // the window opening at its barrier starts.
+  WindowRing<std::vector<NetMessage>> pending;
   // Current-window emissions per destination shard. Sealed at each barrier
   // crossing: own-shard segments append straight into `pending`, cross-shard
   // segments queue in `sealed` for the coordinator to move at round end.
   std::vector<std::vector<NetMessage>> outbox;
   std::vector<std::pair<int, std::vector<NetMessage>>> sealed;
-  std::vector<std::vector<NetMessage>> segment_pool;  // recycled storage
+  // Empty message vectors with their storage kept. New due buckets and
+  // fresh outboxes take from it; drained buckets and moved segments return
+  // to it, so its size is bounded by the windows in flight.
+  std::vector<std::vector<NetMessage>> segment_pool;
+  // DrainDue's counting-pass working set, reused across drains.
+  std::vector<NetMessage> drain_scratch;
+  std::vector<uint32_t> drain_counts;
 
   // Sink arrivals in emission order (their dues are nondecreasing); the
   // coordinator consumes the due-<= prefix at each barrier closure.
@@ -282,12 +347,45 @@ struct StreamSimulation::Shard {
   uint64_t prof_prev_events = 0;    ///< heap+inline total at the last snapshot
   uint64_t prof_max_inbox = 0;      ///< deepest due batch seen at a drain
   uint64_t prof_max_host_inbox = 0; ///< longest per-destination-host run
-  std::map<uint64_t, uint64_t> win_events;  ///< window -> events executed
-  /// barrier -> tuples drained at it, split by source shard. The traffic
-  /// matrix counts a tuple at its *delivery* barrier's closure (matching
-  /// the historical rotate-time accounting): tuples whose due barrier falls
-  /// past the horizon are never counted.
-  std::map<uint64_t, std::vector<uint64_t>> net_drained;
+  /// window -> events executed; the base is the first unclosed window.
+  WindowRing<uint64_t> win_events;
+  /// due barrier -> inbound tuples, split by source shard, counted as they
+  /// enter `pending` (by the owning slice for its own seals, by the
+  /// coordinator for moved segments); the base is the first unclosed
+  /// barrier. The traffic matrix counts a tuple at its *delivery*
+  /// barrier's closure (matching the historical rotate-time accounting):
+  /// tuples whose due barrier falls past the horizon are never counted.
+  WindowRing<std::vector<uint64_t>> net_due;
+
+  /// The first barrier whose due bucket has not been drained yet.
+  uint64_t undrained() const { return pending.base(); }
+
+  /// True when a due bucket at or below `barrier` holds messages.
+  bool HasDueThrough(uint64_t barrier) {
+    const uint64_t end = std::min<uint64_t>(barrier + 1, undrained() + pending.capacity());
+    for (uint64_t due = undrained(); due < end; ++due) {
+      if (!pending.Find(due)->empty()) return true;
+    }
+    return false;
+  }
+
+  /// Appends [first, last) — all due at `due` and sealed by shard
+  /// `src_shard` — to the due bucket, drawing the storage of a new bucket
+  /// from the pool. `count_traffic` feeds the profiler's traffic tally.
+  void Enqueue(uint64_t due, int src_shard, const NetMessage* first,
+               const NetMessage* last, bool count_traffic) {
+    std::vector<NetMessage>& bucket = pending.At(due);
+    if (bucket.capacity() == 0 && !segment_pool.empty()) {
+      bucket.swap(segment_pool.back());
+      segment_pool.pop_back();
+    }
+    bucket.insert(bucket.end(), first, last);
+    if (count_traffic) {
+      std::vector<uint64_t>& by_src = net_due.At(due);
+      if (by_src.empty()) by_src.assign(outbox.size(), 0);
+      by_src[static_cast<size_t>(src_shard)] += static_cast<uint64_t>(last - first);
+    }
+  }
 
   // Scheduling counters (deterministic; reported via the profiler).
   uint64_t sched_windows = 0;     ///< barrier crossings run by slices
@@ -409,6 +507,8 @@ Status StreamSimulation::Build() {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
     shard->outbox.resize(static_cast<size_t>(num_shards_));
+    shard->pending.set_base(1);  // nothing is ever due at barrier 0
+    shard->net_due.set_base(1);
     shard->source_series.assign(metrics_.source_series.size(), 0.0);
     shards_.push_back(std::move(shard));
   }
@@ -515,14 +615,6 @@ Status StreamSimulation::Build() {
         static_cast<int>(state->source_index % static_cast<size_t>(num_shards_));
     sources_.push_back(std::move(state));
   }
-  // Extend the shard lookup past the real hosts with the sources'
-  // pseudo-host ids (net_host = hosts + source_index), so drained tuples
-  // can be attributed to their emitting shard uniformly by src_host.
-  shard_of_host_.resize(hosts_.size() + sources_.size(), 0);
-  for (const auto& source : sources_) {
-    shard_of_host_[static_cast<size_t>(source->net_host)] = source->shard;
-  }
-
   // Per-shard-pair lookahead matrix (DESIGN.md §12): the minimum latency
   // factor over the *placed* application edges crossing each shard pair.
   // Every replica of an upstream PE may act as primary at some point, so
@@ -825,6 +917,10 @@ void StreamSimulation::RunWindowedLoop() {
         });
   }
   Stopwatch loop_watch;  // read only when profiling
+  // Coordinator barrier work (segment moves and barrier closures), timed
+  // only when profiling.
+  Stopwatch coordinator_watch;
+  double coordinator_seconds = 0.0;
 
   // Barriers are computed as window * index, never accumulated: FP error
   // must not drift with the barrier count, and index -> time must be the
@@ -848,16 +944,21 @@ void StreamSimulation::RunWindowedLoop() {
 
   uint64_t closed = 0;  // barriers closed so far (closures run in order)
   const auto close_through = [&](uint64_t limit) {
+    if (profiler != nullptr) coordinator_watch.Restart();
     while (closed < limit) {
       ++closed;
       CloseBarrier(closed, barrier_time(closed));
     }
+    if (profiler != nullptr) coordinator_seconds += coordinator_watch.ElapsedSeconds();
   };
 
-  // Distributes sealed cross-shard segments into the destinations' due maps
-  // and recycles the storage. Coordinator-only, all shards parked; this is
-  // the only point where one shard's messages enter another's state.
+  // Distributes sealed cross-shard segments into the destinations' due
+  // buckets and recycles the storage. Coordinator-only, all shards parked;
+  // this is the only point where one shard's messages enter another's
+  // state. Segments move in sealing order, so each source's messages enter
+  // a bucket in emission order (the invariant DrainDue's passes rely on).
   const auto move_segments = [&]() {
+    if (profiler != nullptr) coordinator_watch.Restart();
     for (size_t s = 0; s < shards_.size(); ++s) {
       Shard* src = shards_[s].get();
       for (auto& entry : src->sealed) {
@@ -867,9 +968,8 @@ void StreamSimulation::RunWindowedLoop() {
         while (i < messages.size()) {
           size_t j = i + 1;
           while (j < messages.size() && messages[j].due == messages[i].due) ++j;
-          std::vector<NetMessage>& bucket = dst->pending[messages[i].due];
-          bucket.insert(bucket.end(), messages.begin() + static_cast<ptrdiff_t>(i),
-                        messages.begin() + static_cast<ptrdiff_t>(j));
+          dst->Enqueue(messages[i].due, static_cast<int>(s), messages.data() + i,
+                       messages.data() + j, profiling_);
           i = j;
         }
         messages.clear();
@@ -877,6 +977,7 @@ void StreamSimulation::RunWindowedLoop() {
       }
       src->sealed.clear();
     }
+    if (profiler != nullptr) coordinator_seconds += coordinator_watch.ElapsedSeconds();
   };
 
   const auto slice_fn = [this](int s) { RunShardSlice(s); };
@@ -952,11 +1053,9 @@ void StreamSimulation::RunWindowedLoop() {
       if (shard->sim.NextEventTime(&next_event) && next_event < target_time) {
         idle = false;
       }
-      if (idle && !shard->pending.empty()) {
-        uint64_t drain_limit = target_barrier;
-        if (!opens_last && drain_limit > 0) --drain_limit;
-        if (shard->pending.begin()->first <= drain_limit) idle = false;
-      }
+      uint64_t drain_limit = target_barrier;
+      if (!opens_last && drain_limit > 0) --drain_limit;
+      if (idle && shard->HasDueThrough(drain_limit)) idle = false;
       if (idle) {
         for (const auto& box : shard->outbox) {
           if (!box.empty()) {
@@ -981,9 +1080,9 @@ void StreamSimulation::RunWindowedLoop() {
         }
         shard->sim.RunBefore(target_time);
         shard->crossed = target_barrier;
-        uint64_t drain_limit = target_barrier;
-        if (!opens_last && drain_limit > 0) --drain_limit;
-        shard->drained = std::max(shard->drained, drain_limit);
+        // Every bucket through the drain limit is empty (the idle test), so
+        // the due ring can skip past them.
+        shard->pending.set_base(std::max(shard->undrained(), drain_limit + 1));
         if (opens_last) {
           shard->window_index = target_barrier;
         } else if (target_barrier > 0) {
@@ -1028,10 +1127,7 @@ void StreamSimulation::RunWindowedLoop() {
     shard->final_round = true;
     sim::SimTime next_event = 0.0;
     bool idle = !(shard->sim.NextEventTime(&next_event) && next_event <= horizon);
-    if (idle && !shard->pending.empty() &&
-        shard->pending.begin()->first <= shard->crossed) {
-      idle = false;
-    }
+    if (idle && shard->HasDueThrough(shard->crossed)) idle = false;
     if (idle) {
       shard->sim.RunUntil(horizon);
       ++shard->sched_skips;
@@ -1050,8 +1146,10 @@ void StreamSimulation::RunWindowedLoop() {
     // (horizon shorter than one window) — a run always has >= 1 window.
     uint64_t leftover = 0;
     for (auto& shard : shards_) {
-      for (const auto& entry : shard->win_events) leftover += entry.second;
-      shard->win_events.clear();
+      const uint64_t first = shard->win_events.base();
+      for (uint64_t w = first; w < first + shard->win_events.capacity(); ++w) {
+        leftover += *shard->win_events.Find(w);
+      }
     }
     if (leftover > 0 || profiler->profile().windows == 0) {
       profiler->RecordWindow(leftover, /*net_tuples=*/0, horizon);
@@ -1063,6 +1161,7 @@ void StreamSimulation::RunWindowedLoop() {
     }
     profiler->SetDispatchRounds(rounds);
     profiler->SetLoopWallSeconds(loop_watch.ElapsedSeconds());
+    profiler->SetCoordinatorSeconds(coordinator_seconds);
   }
 }
 
@@ -1071,7 +1170,7 @@ void StreamSimulation::RunShardSlice(int s) {
   const double window = options_.link_latency_seconds;
   const auto note_window_events = [shard](uint64_t w) {
     const uint64_t total = shard->sim.events_processed() + shard->inline_events;
-    shard->win_events[w] += total - shard->prof_prev_events;
+    shard->win_events.At(w) += total - shard->prof_prev_events;
     shard->prof_prev_events = total;
   };
   if (shard->final_round) {
@@ -1079,7 +1178,7 @@ void StreamSimulation::RunShardSlice(int s) {
     // run (RunBefore excluded them), as do messages due at a barrier
     // coinciding with it.
     const uint64_t w = shard->crossed;
-    if (shard->drained < w) DrainDue(shard, w);
+    if (shard->undrained() <= w) DrainDue(shard, w);
     shard->window_index = w;
     shard->phase_end = shard->target_time;
     shard->sim.RunUntil(shard->target_time);
@@ -1088,7 +1187,7 @@ void StreamSimulation::RunShardSlice(int s) {
   }
   while (shard->crossed < shard->target_barrier) {
     const uint64_t w = shard->crossed;
-    if (shard->drained < w) DrainDue(shard, w);
+    if (shard->undrained() <= w) DrainDue(shard, w);
     shard->window_index = w;
     const sim::SimTime end = window * static_cast<double>(w + 1);
     shard->phase_end = end;
@@ -1102,7 +1201,7 @@ void StreamSimulation::RunShardSlice(int s) {
     // Partial window up to a control time or the horizon; the window stays
     // open (no seal, no crossing) and resumes after the cap.
     const uint64_t w = shard->crossed;
-    if (shard->drained < w) DrainDue(shard, w);
+    if (shard->undrained() <= w) DrainDue(shard, w);
     shard->window_index = w;
     shard->phase_end = shard->target_time;
     shard->sim.RunBefore(shard->target_time);
@@ -1111,23 +1210,33 @@ void StreamSimulation::RunShardSlice(int s) {
 }
 
 void StreamSimulation::DrainDue(Shard* shard, uint64_t barrier) {
-  shard->drained = barrier;
-  auto it = shard->pending.find(barrier);
-  if (it == shard->pending.end()) return;
-  std::vector<NetMessage>& batch = it->second;
+  std::vector<NetMessage>* found = shard->pending.Find(barrier);
+  shard->pending.set_base(barrier + 1);
+  if (found == nullptr || found->empty()) return;
+  std::vector<NetMessage>& batch = *found;
   // (dst_host, src_host, src_seq) is unique per message and independent of
-  // the partition, so this sort fixes one delivery order for all shard
+  // the partition, so this order fixes one delivery order for all shard
   // counts. Deliveries to different hosts touch disjoint state; per
-  // (src_host, dst_host) pair the order is emission order.
-  std::sort(batch.begin(), batch.end(),
-            [](const NetMessage& a, const NetMessage& b) {
-              if (a.dst_host != b.dst_host) return a.dst_host < b.dst_host;
-              if (a.src_host != b.src_host) return a.src_host < b.src_host;
-              return a.src_seq < b.src_seq;
-            });
+  // (src_host, dst_host) pair the order is emission order. Each source's
+  // messages entered the bucket in emission order, i.e. ascending src_seq
+  // (own-shard seals and moved segments both append in sealing order), so
+  // a stable pass by src_host yields (src_host, src_seq) and a second
+  // stable pass by dst_host completes the key — linear, no comparisons.
+  const size_t endpoints = hosts_.size() + sources_.size();
+  CountingPass(batch, &shard->drain_scratch, endpoints, &shard->drain_counts,
+               [](const NetMessage& m) { return static_cast<size_t>(m.src_host); });
+  CountingPass(shard->drain_scratch, &batch, hosts_.size(), &shard->drain_counts,
+               [](const NetMessage& m) { return static_cast<size_t>(m.dst_host); });
+#ifndef NDEBUG
+  for (size_t i = 1; i < batch.size(); ++i) {
+    const NetMessage& a = batch[i - 1];
+    const NetMessage& b = batch[i];
+    assert(a.dst_host != b.dst_host || a.src_host != b.src_host || a.src_seq < b.src_seq);
+  }
+#endif
   if (profiling_) {
     // Conservative-window efficiency: how deep a due batch gets, both per
-    // shard and for the single busiest destination host (the sorted batch
+    // shard and for the single busiest destination host (the ordered batch
     // groups by dst_host, so the longest run is one linear scan). Both are
     // deterministic; the per-host maximum is also partition-invariant.
     shard->prof_max_inbox =
@@ -1139,12 +1248,6 @@ void StreamSimulation::DrainDue(Shard* shard, uint64_t barrier) {
       prev_host = msg.dst_host;
       shard->prof_max_host_inbox = std::max(shard->prof_max_host_inbox, run);
     }
-    std::vector<uint64_t>& by_src = shard->net_drained[barrier];
-    if (by_src.empty()) by_src.assign(static_cast<size_t>(num_shards_), 0);
-    for (const NetMessage& msg : batch) {
-      ++by_src[static_cast<size_t>(
-          shard_of_host_[static_cast<size_t>(msg.src_host)])];
-    }
   }
   for (const NetMessage& msg : batch) {
     Replica& target =
@@ -1152,8 +1255,8 @@ void StreamSimulation::DrainDue(Shard* shard, uint64_t barrier) {
     DeliverToReplica(&target, msg.port, msg.birth, /*span=*/0);
   }
   batch.clear();
-  shard->segment_pool.push_back(std::move(batch));
-  shard->pending.erase(it);
+  shard->segment_pool.emplace_back();
+  shard->segment_pool.back().swap(batch);  // the slot is left empty, no storage
 }
 
 void StreamSimulation::SealWindow(Shard* shard) {
@@ -1162,15 +1265,14 @@ void StreamSimulation::SealWindow(Shard* shard) {
     if (box.empty()) continue;
     if (d == shard->index) {
       // Same-shard cross-host tuples never leave the shard: append them to
-      // the local due map directly (their dues are >= two barriers out, so
-      // the open window cannot observe them).
+      // the local due buckets directly (their dues are >= two barriers out,
+      // so the open window cannot observe them).
       size_t i = 0;
       while (i < box.size()) {
         size_t j = i + 1;
         while (j < box.size() && box[j].due == box[i].due) ++j;
-        std::vector<NetMessage>& bucket = shard->pending[box[i].due];
-        bucket.insert(bucket.end(), box.begin() + static_cast<ptrdiff_t>(i),
-                      box.begin() + static_cast<ptrdiff_t>(j));
+        shard->Enqueue(box[i].due, shard->index, box.data() + i, box.data() + j,
+                       profiling_);
         i = j;
       }
       box.clear();
@@ -1204,62 +1306,54 @@ void StreamSimulation::CloseBarrier(uint64_t index, sim::SimTime stop) {
       sink_scratch_.push_back(shard->sink_sealed[i]);
       ++i;
     }
-    shard->sink_consumed = i;
-    if (i == shard->sink_sealed.size() && i > 0) {
-      shard->sink_sealed.clear();
-      shard->sink_consumed = 0;
+    // A shard running ahead always leaves an unconsumed tail; drop the
+    // consumed prefix once it outgrows that tail, so the buffer stays
+    // bounded by the arrivals in flight (an erase moves no more elements
+    // than it drops, so compaction is amortized linear).
+    if (i > 0 && i >= shard->sink_sealed.size() - i) {
+      shard->sink_sealed.erase(shard->sink_sealed.begin(),
+                               shard->sink_sealed.begin() + static_cast<ptrdiff_t>(i));
+      i = 0;
     }
+    shard->sink_consumed = i;
   }
-  std::sort(sink_scratch_.begin(), sink_scratch_.end(),
-            [](const SinkMessage& a, const SinkMessage& b) {
-              if (a.src_host != b.src_host) return a.src_host < b.src_host;
-              return a.src_seq < b.src_seq;
-            });
-  for (const SinkMessage& msg : sink_scratch_) {
+  // Each shard's consumed prefix lists its endpoints' arrivals in emission
+  // order (ascending src_seq), so one stable pass by src_host yields the
+  // (src_host, src_seq) order.
+  CountingPass(sink_scratch_, &sink_ordered_, hosts_.size() + sources_.size(),
+               &sink_counts_,
+               [](const SinkMessage& m) { return static_cast<size_t>(m.src_host); });
+  for (const SinkMessage& msg : sink_ordered_) {
     ++metrics_.sink_tuples;
     metrics_.sink_series[BucketOf(stop)] += 1.0;
     if (options_.record_latency) metrics_.sink_latency.Add(stop - msg.birth);
   }
   if (profiling_) {
-    options_.profiler->RecordBarrierSinkTuples(sink_scratch_.size());
+    options_.profiler->RecordBarrierSinkTuples(sink_ordered_.size());
     // The window ending at this barrier: events every shard executed in it,
-    // plus the tuples due here — some already drained (a sprinting shard
-    // opened the window within the round), the rest still pending. The
-    // traffic matrix is fed from the same due==index set, so a tuple is
-    // counted exactly once, at its delivery barrier's closure; stale keys
-    // below the closure (post-closure drains of already-counted buckets)
-    // are discarded without recording.
+    // plus the tuples due here, counted as they entered the due buckets
+    // (every one has by now: a tuple due here was sealed at least one
+    // barrier earlier and moved at that round's end).
     uint64_t events = 0;
     uint64_t net = 0;
-    std::vector<uint64_t> by_src;
     for (auto& shard : shards_) {
-      while (!shard->win_events.empty() &&
-             shard->win_events.begin()->first + 1 <= index) {
-        events += shard->win_events.begin()->second;
-        shard->win_events.erase(shard->win_events.begin());
-      }
-      by_src.assign(static_cast<size_t>(num_shards_), 0);
-      while (!shard->net_drained.empty() &&
-             shard->net_drained.begin()->first <= index) {
-        if (shard->net_drained.begin()->first == index) {
-          const std::vector<uint64_t>& drained = shard->net_drained.begin()->second;
-          for (size_t src = 0; src < drained.size(); ++src) by_src[src] += drained[src];
-        }
-        shard->net_drained.erase(shard->net_drained.begin());
-      }
-      auto pit = shard->pending.find(index);
-      if (pit != shard->pending.end()) {
-        for (const NetMessage& msg : pit->second) {
-          ++by_src[static_cast<size_t>(
-              shard_of_host_[static_cast<size_t>(msg.src_host)])];
+      for (uint64_t w = shard->win_events.base(); w < index; ++w) {
+        if (uint64_t* slot = shard->win_events.Find(w)) {
+          events += *slot;
+          *slot = 0;
         }
       }
-      for (size_t src = 0; src < by_src.size(); ++src) {
-        if (by_src[src] == 0) continue;
-        net += by_src[src];
-        options_.profiler->RecordTraffic(static_cast<int>(src), shard->index,
-                                         by_src[src]);
+      shard->win_events.set_base(std::max(shard->win_events.base(), index));
+      if (std::vector<uint64_t>* by_src = shard->net_due.Find(index)) {
+        for (size_t src = 0; src < by_src->size(); ++src) {
+          if ((*by_src)[src] == 0) continue;
+          net += (*by_src)[src];
+          options_.profiler->RecordTraffic(static_cast<int>(src), shard->index,
+                                           (*by_src)[src]);
+          (*by_src)[src] = 0;
+        }
       }
+      shard->net_due.set_base(index + 1);
     }
     options_.profiler->RecordWindow(events, net, stop);
   }
@@ -1826,7 +1920,8 @@ void StreamSimulation::ApplyConfig(model::ConfigId config) {
 // ---------------------------------------------------------------------------
 
 void StreamSimulation::MonitorTick() {
-  std::vector<double> measured(sources_.size(), 0.0);
+  std::vector<double>& measured = monitor_rates_;
+  measured.assign(sources_.size(), 0.0);
   for (size_t i = 0; i < sources_.size(); ++i) {
     SourceState* source = sources_[i].get();
     const uint64_t count = source->emitted - source->monitor_snapshot;

@@ -154,7 +154,7 @@ class StreamSimulation {
   void DrainDue(Shard* shard, uint64_t barrier);
   /// Seals the window that just crossed: the shard's outbox segments are
   /// handed to the coordinator for distribution (own-shard segments land
-  /// directly in the local due map) and the trace/profiling window marks
+  /// directly in the local due buckets) and the trace/profiling window marks
   /// are recorded. Worker-side, shard-local.
   void SealWindow(Shard* shard);
   /// Coordinator-side barrier closure: replays sink arrivals due at barrier
@@ -229,7 +229,10 @@ class StreamSimulation {
   /// injection counts as a factor-1 inbound edge on the source's shard.
   std::vector<std::vector<uint32_t>> lookahead_;
   std::vector<SinkMessage> sink_scratch_;         // barrier working sets,
-  std::vector<obs::TraceEvent> trace_scratch_;    //   reused across barriers
+  std::vector<SinkMessage> sink_ordered_;         //   reused across barriers
+  std::vector<uint32_t> sink_counts_;
+  std::vector<obs::TraceEvent> trace_scratch_;
+  std::vector<double> monitor_rates_;             // MonitorTick working set
 
   std::unique_ptr<TelemetryState> telemetry_;  // null unless options_.telemetry
   model::ConfigId applied_config_ = 0;

@@ -283,6 +283,7 @@ json::Value EngineProfile::ToJson() const {
   measured.Set("runner_workers", json::Value::Int(runner_workers));
   measured.Set("phases", json::Value::Int(static_cast<int64_t>(phases)));
   measured.Set("loop_wall_seconds", json::Value::Number(loop_wall_seconds));
+  measured.Set("coordinator_seconds", json::Value::Number(coordinator_seconds));
   measured.Set("phase_wall_seconds", json::Value::Number(phase_wall_seconds));
   measured.Set("critical_path_seconds",
                json::Value::Number(critical_path_seconds));
@@ -392,6 +393,7 @@ Result<EngineProfile> EngineProfile::FromJson(const json::Value& value) {
       static_cast<int>(GetU64Field(**measured, "runner_workers"));
   profile.phases = GetU64Field(**measured, "phases");
   profile.loop_wall_seconds = GetDoubleField(**measured, "loop_wall_seconds");
+  profile.coordinator_seconds = GetDoubleField(**measured, "coordinator_seconds");
   profile.phase_wall_seconds = GetDoubleField(**measured, "phase_wall_seconds");
   profile.critical_path_seconds =
       GetDoubleField(**measured, "critical_path_seconds");
@@ -552,6 +554,10 @@ void EngineProfiler::OnPhaseTiming(
 
 void EngineProfiler::SetLoopWallSeconds(double seconds) {
   profile_.loop_wall_seconds = seconds;
+}
+
+void EngineProfiler::SetCoordinatorSeconds(double seconds) {
+  profile_.coordinator_seconds = seconds;
 }
 
 void PublishProfile(MetricsRegistry* registry, const EngineProfile& profile) {

@@ -84,6 +84,11 @@ struct EngineProfile {
   int runner_workers = 0;
   uint64_t phases = 0;               ///< RunPhase calls observed
   double loop_wall_seconds = 0.0;    ///< whole windowed loop (or sync RunUntil)
+  /// Coordinator barrier work inside the loop, all shards parked: moving
+  /// sealed segments into due buckets plus barrier closures (sink replay,
+  /// window accounting, trace merge). 0 for the synchronous engine and in
+  /// profiles written before it was recorded.
+  double coordinator_seconds = 0.0;
   double phase_wall_seconds = 0.0;   ///< Σ per-phase coordinator wall
   /// Σ per-phase max shard execute. A single-executor runner
   /// (`runner_workers == 1`) serializes each phase, so there the critical
@@ -191,6 +196,7 @@ class EngineProfiler {
   void OnPhaseTiming(double phase_seconds,
                      const std::vector<double>& execute_seconds);
   void SetLoopWallSeconds(double seconds);
+  void SetCoordinatorSeconds(double seconds);
 
   /// Caps `phase_records` (default 4096); timing totals keep accumulating
   /// past the cap, only the per-phase log stops growing.

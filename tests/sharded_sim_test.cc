@@ -65,12 +65,13 @@ enum class Outage { kNone, kHostCrash, kRackOutage };
 /// hashes differing across shard counts can only come from the
 /// partitioning or the synchronization schedule.
 RunHashes RunSharded(uint64_t seed, int shards, Outage outage,
-                     int rack_factor = 1, int zone_factor = 1) {
+                     int rack_factor = 1, int zone_factor = 1,
+                     int racks_per_zone = 3) {
   appgen::GeneratorOptions generator;
   generator.num_pes = 12;
   generator.num_hosts = 6;
   generator.hosts_per_rack = 2;
-  generator.racks_per_zone = 3;
+  generator.racks_per_zone = racks_per_zone;
   generator.domain_aware_placement = true;
   auto app = appgen::GenerateApplication(generator, seed);
   EXPECT_TRUE(app.ok()) << app.status().ToString();
@@ -123,15 +124,15 @@ RunHashes RunSharded(uint64_t seed, int shards, Outage outage,
   return hashes;
 }
 
-/// Runs the configuration at 1, 2 and 4 shards and holds every artifact
-/// hash to `golden`. LAAR_PRINT_HASHES=1 prints the observed hashes for an
-/// intended semantic change.
+/// Runs the configuration at 1, 2, 4 and 8 shards (8 leaves two of them
+/// hostless) and holds every artifact hash to `golden`. LAAR_PRINT_HASHES=1
+/// prints the observed hashes for an intended semantic change.
 void ExpectShardCountInvariant(uint64_t seed, Outage outage,
                                const RunHashes& golden, int rack_factor = 1,
-                               int zone_factor = 1) {
-  for (int shards : {1, 2, 4}) {
-    const RunHashes got =
-        RunSharded(seed, shards, outage, rack_factor, zone_factor);
+                               int zone_factor = 1, int racks_per_zone = 3) {
+  for (int shards : {1, 2, 4, 8}) {
+    const RunHashes got = RunSharded(seed, shards, outage, rack_factor,
+                                     zone_factor, racks_per_zone);
     if (std::getenv("LAAR_PRINT_HASHES") != nullptr) {
       std::printf("seed %llu shards %d: {0x%016llxULL, 0x%016llxULL, "
                   "0x%016llxULL, 0x%016llxULL}\n",
@@ -181,6 +182,19 @@ TEST(ShardedSimTest, LatencyFactorsAreShardInvariant) {
       {0xa53e53847e51a65fULL, 0x580e44fca407f081ULL, 0xc8b6fdabc9633893ULL,
        0x0551c66275dd6a3dULL},
       /*rack_factor=*/2, /*zone_factor=*/4);
+}
+
+/// Three one-rack zones and a zone factor of 16: every cross-zone tuple is
+/// due at least 17 windows after its emitting window, so each shard holds
+/// many due buckets at once, and the due ring must grow past its initial
+/// size and wrap many times over the run. The golden was captured from the
+/// engine's earlier ordered-map due store, at every shard count.
+TEST(ShardedSimTest, FarAheadDuesAreShardInvariant) {
+  ExpectShardCountInvariant(
+      8, Outage::kHostCrash,
+      {0x57334970b1440914ULL, 0x5481d0e2c5f1d821ULL, 0xdac05a05d27e32a7ULL,
+       0x458267c25cff29f1ULL},
+      /*rack_factor=*/2, /*zone_factor=*/16, /*racks_per_zone=*/1);
 }
 
 /// A hand-built pipeline on the windowed engine: tuples still flow end to
@@ -361,6 +375,9 @@ TEST(ShardedSimTest, ProfilerMeasuredSectionInvariants) {
   for (int shards : {1, 4}) {
     const obs::EngineProfile profile = RunProfiled(13, shards).profile;
     EXPECT_GT(profile.loop_wall_seconds, 0.0);
+    // Coordinator barrier work runs inside the loop, between phases.
+    EXPECT_GT(profile.coordinator_seconds, 0.0);
+    EXPECT_LE(profile.coordinator_seconds, profile.loop_wall_seconds);
     EXPECT_GE(profile.phases, 1u) << "shards=" << shards;
     EXPECT_LE(profile.phases, profile.dispatch_rounds) << "shards=" << shards;
     EXPECT_GT(profile.windows, 0u);
@@ -427,6 +444,7 @@ TEST(ShardedSimTest, ProfilerJsonRoundTripPreservesClosure) {
   EXPECT_EQ(parsed->traffic_tuples, profile.traffic_tuples);
   EXPECT_EQ(parsed->barrier_sink_tuples, profile.barrier_sink_tuples);
   EXPECT_EQ(parsed->max_host_inbox_backlog, profile.max_host_inbox_backlog);
+  EXPECT_EQ(parsed->coordinator_seconds, profile.coordinator_seconds);
   // The per-window series deliberately does not survive serialization (only
   // its summary does), so the round-tripped aggregate is not compared.
   EXPECT_TRUE(parsed->window_events.empty());
@@ -437,9 +455,15 @@ TEST(ShardedSimTest, ProfilerJsonRoundTripPreservesClosure) {
   json::Value deterministic = *legacy.Get("deterministic").value();
   deterministic.Set("window_mode", json::Value::String("global"));
   legacy.Set("deterministic", std::move(deterministic));
+  // Profiles written before coordinator time was measured lack that key;
+  // it reads as 0.
+  json::Value measured = *legacy.Get("measured").value();
+  measured.object().erase("coordinator_seconds");
+  legacy.Set("measured", std::move(measured));
   const auto legacy_parsed = obs::EngineProfile::FromJson(legacy);
   ASSERT_TRUE(legacy_parsed.ok()) << legacy_parsed.status().ToString();
   EXPECT_EQ(legacy_parsed->dispatch_rounds, profile.dispatch_rounds);
+  EXPECT_EQ(legacy_parsed->coordinator_seconds, 0.0);
 }
 
 // --- adaptive per-shard-pair windows (DESIGN.md §12) ---

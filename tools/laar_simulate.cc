@@ -87,6 +87,12 @@
 // the two common SLO rules) and writes a machine-readable health report.
 // The process exits 3 when a critical rule fired — "SLO met" becomes a
 // scriptable exit code.
+//
+// After the summary line, one "measured:" line on stderr gives the process
+// wall time so far, the simulation phase's engine events per second and the
+// peak RSS. These are machine-dependent, so they go to no artifact.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -95,6 +101,7 @@
 #include <vector>
 
 #include "laar/common/flags.h"
+#include "laar/common/stopwatch.h"
 #include "laar/common/strings.h"
 #include "laar/dsps/stream_simulation.h"
 #include "laar/exec/parallel.h"
@@ -112,6 +119,7 @@
 
 
 int main(int argc, char** argv) {
+  const laar::Stopwatch wall_watch;
   laar::Flags flags(argc, argv);
   const std::string app_path = flags.GetString("app", "");
   const std::string strategy_path = flags.GetString("strategy", "");
@@ -369,6 +377,7 @@ int main(int argc, char** argv) {
     }
   };
   const size_t num_runs = reference.has_value() ? 2 : 1;
+  const laar::Stopwatch run_watch;
   const int jobs = laar::ResolveJobs(flags.GetInt("jobs", 1));
   if (jobs > 1 && num_runs > 1) {
     laar::ThreadPool pool(std::min(static_cast<size_t>(jobs), num_runs));
@@ -376,6 +385,7 @@ int main(int argc, char** argv) {
   } else {
     for (size_t i = 0; i < num_runs; ++i) run_one(i);
   }
+  const double run_seconds = run_watch.ElapsedSeconds();
   if (!status.ok()) {
     std::fprintf(stderr, "simulation failed: %s\n", status.ToString().c_str());
     return 1;
@@ -432,6 +442,18 @@ int main(int argc, char** argv) {
     laar::obs::PublishBreakdown(&registry, breakdown);
   }
   std::printf("summary: %s\n", laar::dsps::RunSummaryFromRegistry(registry).c_str());
+  {
+    uint64_t events = m.engine_events;
+    if (reference.has_value()) events += reference->metrics().engine_events;
+    struct rusage usage {};
+    getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is in KiB on Linux
+    std::fflush(stdout);
+    std::fprintf(stderr,
+                 "measured: wall %.3f s, %.3g engine events/s, peak RSS %.1f MB\n",
+                 wall_watch.ElapsedSeconds(),
+                 run_seconds > 0.0 ? static_cast<double>(events) / run_seconds : 0.0,
+                 static_cast<double>(usage.ru_maxrss) / 1024.0);
+  }
 
   // Every JSON artifact below carries the same build/run stamp so that
   // `laar_trace diff` can tell comparable runs from incomparable ones.

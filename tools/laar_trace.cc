@@ -289,11 +289,12 @@ int main(int argc, char** argv) {
     if (profile.loop_wall_seconds > 0.0) {
       std::printf(
           "  measured: loop %.3f ms over %llu phases, critical path %.3f ms, "
-          "sync overhead %.1f%%\n",
+          "sync overhead %.1f%%, coordinator %.3f ms\n",
           profile.loop_wall_seconds * 1e3,
           static_cast<unsigned long long>(profile.phases),
           profile.critical_path_seconds * 1e3,
-          profile.SyncOverheadFraction() * 100.0);
+          profile.SyncOverheadFraction() * 100.0,
+          profile.coordinator_seconds * 1e3);
     }
 
     // Per-shard breakdown: deterministic event share next to the measured

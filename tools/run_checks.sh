@@ -14,7 +14,8 @@
 #    the artifacts to be byte-identical across --jobs and across
 #    --shards=1/4 at a fixed --link-latency (the sharded-engine
 #    contract) — on the paper-scale app and on a short web-scale run
-#    (2048 PEs / 256 hosts) with a host crash,
+#    (2048 PEs / 256 hosts) with a host crash, which also runs at
+#    --shards=6 on 3 runner workers,
 # 6. engine-profile smoke: profiled sharded runs at --shards=1/4 must
 #    summarize cleanly (`laar_trace profile` validates the event closure),
 #    their deterministic aggregates and profiled metrics must be
@@ -118,6 +119,12 @@ web_sim --shards=4 --trace-out="$SMOKE_DIR/web.s4.trace.json" \
     --metrics-out="$SMOKE_DIR/web.s4.metrics.json"
 cmp "$SMOKE_DIR/web.s1.trace.json" "$SMOKE_DIR/web.s4.trace.json"
 cmp "$SMOKE_DIR/web.s1.metrics.json" "$SMOKE_DIR/web.s4.metrics.json"
+# More shards than executors: the layout the web_sharded benchmark runs on
+# a 4-core machine.
+web_sim --shards=6 --runner-workers=3 --trace-out="$SMOKE_DIR/web.s6.trace.json" \
+    --metrics-out="$SMOKE_DIR/web.s6.metrics.json"
+cmp "$SMOKE_DIR/web.s1.trace.json" "$SMOKE_DIR/web.s6.trace.json"
+cmp "$SMOKE_DIR/web.s1.metrics.json" "$SMOKE_DIR/web.s6.metrics.json"
 rm -f "$SMOKE_DIR"/web.*  # the strategy alone is ~44 MB
 
 echo "== [6/7] engine-profile smoke (--profile-out + laar_trace profile) =="
