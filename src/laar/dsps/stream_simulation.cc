@@ -726,8 +726,10 @@ Status StreamSimulation::ScheduleHostCrash(model::HostId host, sim::SimTime at,
   if (host < 0 || static_cast<size_t>(host) >= hosts_.size()) {
     return Status::InvalidArgument(StrFormat("unknown host %d", host));
   }
-  if (at < 0.0 || duration <= 0.0) {
-    return Status::InvalidArgument("crash time must be >= 0 with positive duration");
+  // Written so that NaN fails: an event at a NaN time breaks the heap order.
+  if (!(at >= 0.0) || !std::isfinite(at) || !(duration > 0.0) || !std::isfinite(duration)) {
+    return Status::InvalidArgument(
+        "crash time must be finite and >= 0 with a finite positive duration");
   }
   simulator_.ScheduleAt(at, [this, host, duration] { CrashHost(host, duration); });
   return Status::OK();

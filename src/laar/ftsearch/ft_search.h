@@ -142,13 +142,15 @@ struct FtSearchOptions {
   std::function<void(const FtSearchProgress&)> progress;
   uint64_t progress_interval_nodes = 1u << 16;
 
-  /// Abort after exploring this many nodes (0 = unlimited). Unlike the
-  /// wall-clock limit, a node budget is deterministic: the outcome is a pure
-  /// function of the inputs, independent of machine load. To keep it so, a
-  /// node-limited search runs sequentially whatever `num_threads` says (a
-  /// budget shared by parallel workers would be spent in scheduling order).
-  /// The corpus runner relies on this to keep its records invariant under
-  /// --jobs.
+  /// Abort after this many stop checks (0 = unlimited). The search makes a
+  /// check on entering a node and after each value it tries there, about
+  /// four per explored node, so a budget explores about a quarter as many
+  /// nodes. Unlike the wall-clock limit, this budget is deterministic: the
+  /// outcome is a pure function of the inputs, independent of machine
+  /// load. To keep it so, a budgeted search runs sequentially whatever
+  /// `num_threads` says (a budget shared by parallel workers would be spent
+  /// in scheduling order). The corpus runner relies on this to keep its
+  /// records invariant under --jobs.
   uint64_t node_limit = 0;
 };
 

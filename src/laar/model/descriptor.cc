@@ -146,18 +146,23 @@ Result<ApplicationDescriptor> ApplicationDescriptor::FromJson(const json::Value&
     LAAR_ASSIGN_OR_RETURN(int64_t source_id, source_value->AsInt());
     rate_set.source = static_cast<ComponentId>(source_id);
     LAAR_ASSIGN_OR_RETURN(const json::Value* rates, js.Get("rates"));
+    if (!rates->is_array()) return Status::InvalidArgument("'rates' must be an array");
     for (const json::Value& r : rates->array()) {
       LAAR_ASSIGN_OR_RETURN(double rate, r.AsDouble());
       rate_set.rates.push_back(rate);
     }
     if (js.Has("labels")) {
       LAAR_ASSIGN_OR_RETURN(const json::Value* labels, js.Get("labels"));
+      if (!labels->is_array()) return Status::InvalidArgument("'labels' must be an array");
       for (const json::Value& l : labels->array()) {
         LAAR_ASSIGN_OR_RETURN(std::string label, l.AsString());
         rate_set.labels.push_back(std::move(label));
       }
     }
     LAAR_ASSIGN_OR_RETURN(const json::Value* probabilities, js.Get("probabilities"));
+    if (!probabilities->is_array()) {
+      return Status::InvalidArgument("'probabilities' must be an array");
+    }
     for (const json::Value& p : probabilities->array()) {
       LAAR_ASSIGN_OR_RETURN(double probability, p.AsDouble());
       rate_set.probabilities.push_back(probability);

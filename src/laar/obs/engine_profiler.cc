@@ -592,8 +592,8 @@ void AppendRunnerTrack(json::Value* chrome_trace,
   Result<const json::Value*> events_field = chrome_trace->Get("traceEvents");
   if (!events_field.ok() || !(*events_field)->is_array()) return;
   // Get() hands back a const view; we own the document, so re-resolve the
-  // mutable array through object().
-  json::Value& events = chrome_trace->object()["traceEvents"];
+  // mutable array through Find().
+  json::Value& events = *chrome_trace->Find("traceEvents");
 
   const auto meta = [&events](int64_t tid, const char* name,
                               std::string value) {

@@ -115,10 +115,8 @@ void FlattenProfile(const json::Value& doc, Scalars* scalars,
   FlattenJsonNumbers(doc.GetOr("deterministic", empty_object), "prof",
                      &scalars->values);
   json::Value measured_section = doc.GetOr("measured", empty_object);
-  if (measured_section.is_object()) {
-    measured_section.object().erase("phase_records");
-    measured_section.object().erase("phase_records_truncated");
-  }
+  measured_section.Erase("phase_records");
+  measured_section.Erase("phase_records_truncated");
   FlattenJsonNumbers(measured_section, "prof", &measured->values);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "laar/obs/trace_recorder.h"
 
@@ -104,6 +105,7 @@ void Simulator::HeapRemoveAt(size_t pos) {
 }
 
 EventId Simulator::ScheduleAt(SimTime when, EventCallback callback) {
+  assert(std::isfinite(when) && "event time must be finite");
   if (when < now_) when = now_;
   if (callback.boxed()) ++stats_.boxed_callbacks;
   const uint32_t slot_index = AllocSlot();

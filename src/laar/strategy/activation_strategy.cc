@@ -101,6 +101,7 @@ Result<ActivationStrategy> ActivationStrategy::FromJson(const json::Value& value
                                           static_cast<long long>(config)));
     }
     LAAR_ASSIGN_OR_RETURN(const json::Value* active, jc.Get("active"));
+    if (!active->is_array()) return Status::InvalidArgument("'active' must be an array");
     for (const json::Value& pair : active->array()) {
       if (!pair.is_array() || pair.array().size() != 2) {
         return Status::InvalidArgument("'active' entries must be [pe, replica] pairs");

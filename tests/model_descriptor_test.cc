@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -101,18 +102,38 @@ TEST(DescriptorTest, FromJsonRejectsBadDocuments) {
 
   // Non-dense component ids.
   auto doc = MakeApp().ToJson();
-  doc.object()["components"].array()[0].Set("id", json::Value::Int(5));
+  doc.Find("components")->array()[0].Set("id", json::Value::Int(5));
   EXPECT_FALSE(ApplicationDescriptor::FromJson(doc).ok());
 
   // Unknown component kind.
   auto doc2 = MakeApp().ToJson();
-  doc2.object()["components"].array()[0].Set("kind", json::Value::String("widget"));
+  doc2.Find("components")->array()[0].Set("kind", json::Value::String("widget"));
   EXPECT_FALSE(ApplicationDescriptor::FromJson(doc2).ok());
 
   // Edge referencing a missing component.
   auto doc3 = MakeApp().ToJson();
-  doc3.object()["edges"].array()[0].Set("to", json::Value::Int(99));
+  doc3.Find("edges")->array()[0].Set("to", json::Value::Int(99));
   EXPECT_FALSE(ApplicationDescriptor::FromJson(doc3).ok());
+}
+
+// A source's rate table read without a type check would see a scalar as an
+// empty list; each list must be rejected by name instead.
+void ExpectSourceListRejected(const char* key) {
+  auto doc = MakeApp().ToJson();
+  doc.Find("source_rates")->array()[0].Set(key, json::Value::Int(5));
+  const Result<ApplicationDescriptor> loaded = ApplicationDescriptor::FromJson(doc);
+  ASSERT_FALSE(loaded.ok()) << key;
+  EXPECT_NE(loaded.status().ToString().find(std::string("'") + key + "' must be an array"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(DescriptorTest, FromJsonRejectsNonArrayRates) { ExpectSourceListRejected("rates"); }
+
+TEST(DescriptorTest, FromJsonRejectsNonArrayLabels) { ExpectSourceListRejected("labels"); }
+
+TEST(DescriptorTest, FromJsonRejectsNonArrayProbabilities) {
+  ExpectSourceListRejected("probabilities");
 }
 
 }  // namespace

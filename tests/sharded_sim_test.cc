@@ -458,7 +458,7 @@ TEST(ShardedSimTest, ProfilerJsonRoundTripPreservesClosure) {
   // Profiles written before coordinator time was measured lack that key;
   // it reads as 0.
   json::Value measured = *legacy.Get("measured").value();
-  measured.object().erase("coordinator_seconds");
+  measured.Erase("coordinator_seconds");
   legacy.Set("measured", std::move(measured));
   const auto legacy_parsed = obs::EngineProfile::FromJson(legacy);
   ASSERT_TRUE(legacy_parsed.ok()) << legacy_parsed.status().ToString();

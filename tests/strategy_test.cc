@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -117,15 +118,24 @@ TEST(ActivationStrategyTest, FromJsonRejectsCorruptDocuments) {
   EXPECT_FALSE(ActivationStrategy::FromJson(doc).ok());
 
   auto doc2 = s.ToJson();
-  doc2.object()["configs"].array()[0].Set("config", json::Value::Int(9));
+  doc2.Find("configs")->array()[0].Set("config", json::Value::Int(9));
   EXPECT_FALSE(ActivationStrategy::FromJson(doc2).ok());
 
   auto doc3 = s.ToJson();
   json::Value bad_pair = json::Value::MakeArray();
   bad_pair.Append(json::Value::Int(7));
   bad_pair.Append(json::Value::Int(0));
-  doc3.object()["configs"].array()[0].object()["active"].Append(std::move(bad_pair));
+  doc3.Find("configs")->array()[0].Find("active")->Append(std::move(bad_pair));
   EXPECT_FALSE(ActivationStrategy::FromJson(doc3).ok());
+}
+
+TEST(ActivationStrategyTest, FromJsonRejectsNonArrayActive) {
+  // Read without a type check, "active": 5 would mean "no active replica".
+  auto doc = ActivationStrategy(2, 2, 2).ToJson();
+  doc.Find("configs")->array()[1].Set("active", json::Value::Int(5));
+  const Result<ActivationStrategy> loaded = ActivationStrategy::FromJson(doc);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("'active' must be an array"), std::string::npos);
 }
 
 TEST(BaselinesTest, StaticReplicationActivatesEverything) {

@@ -95,9 +95,11 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "laar/common/flags.h"
@@ -336,9 +338,16 @@ int main(int argc, char** argv) {
       size_t end = schedule.find(',', begin);
       if (end == std::string::npos) end = schedule.size();
       const std::string entry = schedule.substr(begin, end - begin);
+      // The host goes through from_chars, which rejects out-of-range values
+      // (sscanf's %d would wrap them into a valid-looking id).
+      const size_t at_sign = std::min(entry.find('@'), entry.size());
       int host = -1;
       double at = 0.0, duration = 0.0;
-      if (std::sscanf(entry.c_str(), "%d@%lf+%lf", &host, &at, &duration) != 3) {
+      const auto [host_end, host_error] =
+          std::from_chars(entry.data(), entry.data() + at_sign, host);
+      if (host_error != std::errc() || host_end != entry.data() + at_sign ||
+          at_sign == entry.size() ||
+          std::sscanf(entry.c_str() + at_sign + 1, "%lf+%lf", &at, &duration) != 2) {
         std::fprintf(stderr, "cannot parse --crash-schedule entry '%s' (want H@T+D)\n",
                      entry.c_str());
         return 2;
