@@ -22,28 +22,31 @@ namespace {
 /// processor-sharing integration).
 constexpr double kCompletionSlackSeconds = 1e-9;
 
-/// One buffered tuple: its port, the source-emission time it traces back
-/// to (for end-to-end latency), when it entered the queue, and its
+/// One buffered tuple: the source-emission time it traces back to (for
+/// end-to-end latency), when it entered the queue, its port, and its
 /// latency-tracer span (0 for the untraced majority).
 struct QueuedTuple {
-  int port;
-  sim::SimTime birth;
+  sim::SimTime birth = 0.0;
   sim::SimTime enqueued = 0.0;
+  int port = -1;
   uint32_t span = 0;
 };
 
-/// Fixed-capacity tuple FIFO, allocated once per replica at build time and
-/// recycled in place. A replica's backlog is provably bounded by the sum of
-/// its port capacities (DeliverToReplica drops past that), so sizing the
-/// ring to that sum makes every push during the run allocation-free — the
-/// per-node std::deque churn this replaces was a top allocation site.
+/// A replica's tuple FIFO. Its backlog is provably bounded by the sum of its
+/// port capacities (DeliverToReplica drops past that), but most queues stay
+/// far below the bound, so the ring starts at `kInitialSlots` and doubles on
+/// demand up to the bound: its memory follows the depth the queue actually
+/// reaches, with at most ceil(log2(bound / kInitialSlots)) growths per run.
+/// It rewinds to slot 0 whenever it drains, so a queue that is mostly empty
+/// keeps reusing one cache line.
 class TupleRing {
  public:
-  void Init(size_t capacity) {
-    slots_.assign(std::max<size_t>(1, capacity), QueuedTuple{});
-    head_ = 0;
-    tail_ = 0;
-    size_ = 0;
+  static constexpr size_t kInitialSlots = 8;
+
+  void Init(size_t bound) {
+    bound_ = std::max<size_t>(1, bound);
+    slots_.assign(std::min(kInitialSlots, bound_), QueuedTuple{});
+    clear();
   }
 
   bool empty() const { return size_ == 0; }
@@ -51,12 +54,15 @@ class TupleRing {
   const QueuedTuple& front() const { return slots_[head_]; }
 
   void pop_front() {
-    head_ = Next(head_);
-    --size_;
+    if (--size_ == 0) {
+      clear();
+    } else {
+      head_ = Next(head_);
+    }
   }
 
   void push_back(const QueuedTuple& tuple) {
-    if (size_ == slots_.size()) Grow();  // defensive; the capacity proof holds
+    if (size_ == slots_.size()) Grow();
     slots_[tail_] = tuple;
     tail_ = Next(tail_);
     ++size_;
@@ -71,8 +77,12 @@ class TupleRing {
  private:
   size_t Next(size_t i) const { return i + 1 == slots_.size() ? 0 : i + 1; }
 
+  /// Doubles the ring, capped at the bound; growing past the bound is
+  /// defensive only (the capacity proof holds).
   void Grow() {
-    std::vector<QueuedTuple> bigger(slots_.size() * 2);
+    const size_t doubled = slots_.size() * 2;
+    const size_t capacity = slots_.size() < bound_ ? std::min(doubled, bound_) : doubled;
+    std::vector<QueuedTuple> bigger(capacity);
     for (size_t i = 0; i < size_; ++i) bigger[i] = slots_[(head_ + i) % slots_.size()];
     slots_ = std::move(bigger);
     head_ = 0;
@@ -80,6 +90,7 @@ class TupleRing {
   }
 
   std::vector<QueuedTuple> slots_;
+  size_t bound_ = 1;
   size_t head_ = 0;
   size_t tail_ = 0;
   size_t size_ = 0;
@@ -184,13 +195,13 @@ struct StreamSimulation::Replica {
 
   bool processing = false;
   int processing_port = -1;
-  double remaining_cycles = 0.0;
   sim::SimTime processing_birth = 0.0;  // birth time of the in-flight tuple
   sim::SimTime processing_start = 0.0;  // when the in-flight tuple left the queue
   uint32_t processing_span = 0;         // latency-tracer span of that tuple
 
   std::vector<Port> ports;
-  TupleRing fifo;  // arrival order of queued tuples, pooled (see TupleRing)
+  TupleRing fifo;  // arrival order of queued tuples (see TupleRing)
+  ReplicaMetrics* metrics = nullptr;  // this replica's entry in metrics_.replicas
 };
 
 struct StreamSimulation::PeState {
@@ -201,9 +212,20 @@ struct StreamSimulation::PeState {
 };
 
 struct StreamSimulation::HostState {
+  /// One replica in the host's processor-sharing busy set: the work left on
+  /// its in-flight tuple and its running CPU total. The integration loop and
+  /// the completion scan touch only these entries, never the replicas; the
+  /// total is written back to `ReplicaMetrics::cpu_cycles` when the replica
+  /// leaves the set and at the end-of-run flush.
+  struct Busy {
+    Replica* replica;
+    double remaining_cycles;
+    double cpu_cycles;
+  };
+
   model::HostId id = model::kInvalidHost;
   double capacity = 0.0;  // cycles/sec
-  std::vector<Replica*> busy;
+  std::vector<Busy> busy;  // in join order
   sim::SimTime last_advance = 0.0;
 
   /// Windowed engine: sequence number of the next tuple this host puts on
@@ -548,6 +570,7 @@ Status StreamSimulation::Build() {
       Replica& replica = state->replicas[static_cast<size_t>(r)];
       replica.pe_id = pe;
       replica.index = r;
+      replica.metrics = &metrics_.replicas[static_cast<size_t>(pe)][static_cast<size_t>(r)];
       replica.host = placement_.HostOf(pe, r);
       if (replica.host == model::kInvalidHost) {
         return Status::FailedPrecondition(StrFormat("PE %d replica %d is unplaced", pe, r));
@@ -796,8 +819,14 @@ Status StreamSimulation::Run() {
     simulator_.RunUntil(trace_.TotalDuration());
   }
 
-  // Flush processor-sharing accounting up to the horizon.
-  for (auto& host : hosts_) AdvanceHost(host.get());
+  // Flush processor-sharing accounting up to the horizon, then write the
+  // running CPU totals of replicas still busy back to their metrics.
+  for (auto& host : hosts_) {
+    AdvanceHost(host.get());
+    for (const HostState::Busy& entry : host->busy) {
+      entry.replica->metrics->cpu_cycles = entry.cpu_cycles;
+    }
+  }
 
   // Fold the per-shard accumulators into the run totals. Every merge is
   // exact — unsigned adds, integer-valued double adds, maxima, ledger
@@ -1487,9 +1516,19 @@ void StreamSimulation::AdvanceHost(HostState* host) {
   if (dt <= 0.0 || host->busy.empty()) return;
   const double share = host->capacity / static_cast<double>(host->busy.size());
   const double work = share * dt;
-  for (Replica* replica : host->busy) {
-    replica->remaining_cycles -= work;
-    RecordReplicaCycles(replica, work, now);
+  double& host_cycles = metrics_.host_cycles[static_cast<size_t>(host->id)];
+  for (HostState::Busy& entry : host->busy) {
+    entry.remaining_cycles -= work;
+    entry.cpu_cycles += work;
+    host_cycles += work;
+  }
+  if (options_.record_replica_series) {
+    const size_t bucket = BucketOf(now);
+    for (const HostState::Busy& entry : host->busy) {
+      const Replica& replica = *entry.replica;
+      metrics_.replica_series[static_cast<size_t>(replica.pe_id)]
+                             [static_cast<size_t>(replica.index)][bucket] += work;
+    }
   }
 }
 
@@ -1503,16 +1542,16 @@ void StreamSimulation::RescheduleHost(HostState* host) {
     }
     return;
   }
-  Replica* next = host->busy.front();
-  for (Replica* replica : host->busy) {
-    if (replica->remaining_cycles < next->remaining_cycles) next = replica;
+  const HostState::Busy* next = &host->busy.front();
+  for (const HostState::Busy& entry : host->busy) {
+    if (entry.remaining_cycles < next->remaining_cycles) next = &entry;
   }
   const double share = host->capacity / static_cast<double>(host->busy.size());
   const double delay = std::max(0.0, next->remaining_cycles) / share;
   // One pooled service event per host, moved in place on every busy-set
   // change. A reschedule re-draws the tie-break sequence exactly like the
   // cancel + schedule it replaces, so firing order is unchanged.
-  host->completion_target = next;
+  host->completion_target = next->replica;
   const sim::SimTime when = sim.now() + delay;
   if (host->completion_event == sim::kInvalidEvent ||
       !sim.Reschedule(host->completion_event, when)) {
@@ -1533,35 +1572,41 @@ void StreamSimulation::HostCompletionEvent(HostState* host) {
   std::vector<Replica*>& finished = AccOfHost(host->id).finished_scratch;
   finished.clear();
   size_t kept = 0;
-  for (Replica* replica : host->busy) {
-    if (replica == target || replica->remaining_cycles <= slack) {
-      finished.push_back(replica);
+  for (const HostState::Busy& entry : host->busy) {
+    if (entry.replica == target || entry.remaining_cycles <= slack) {
+      entry.replica->metrics->cpu_cycles = entry.cpu_cycles;
+      finished.push_back(entry.replica);
     } else {
-      host->busy[kept++] = replica;
+      host->busy[kept++] = entry;
     }
   }
   host->busy.resize(kept);
   RescheduleHost(host);
   for (Replica* replica : finished) {
     replica->processing = false;
-    replica->remaining_cycles = 0.0;
     FinishTuple(replica);
     TryStartProcessing(replica);
   }
 }
 
-void StreamSimulation::AddBusy(Replica* replica) {
+void StreamSimulation::AddBusy(Replica* replica, double cycles) {
   HostState* host = hosts_[static_cast<size_t>(replica->host)].get();
   AdvanceHost(host);
-  host->busy.push_back(replica);
+  host->busy.push_back(HostState::Busy{replica, cycles, replica->metrics->cpu_cycles});
   RescheduleHost(host);
 }
 
 void StreamSimulation::RemoveBusy(Replica* replica) {
   HostState* host = hosts_[static_cast<size_t>(replica->host)].get();
   AdvanceHost(host);
-  auto it = std::find(host->busy.begin(), host->busy.end(), replica);
-  if (it != host->busy.end()) host->busy.erase(it);
+  auto it = std::find_if(host->busy.begin(), host->busy.end(),
+                         [replica](const HostState::Busy& entry) {
+                           return entry.replica == replica;
+                         });
+  if (it != host->busy.end()) {
+    replica->metrics->cpu_cycles = it->cpu_cycles;
+    host->busy.erase(it);
+  }
   RescheduleHost(host);
 }
 
@@ -1573,8 +1618,7 @@ void StreamSimulation::DeliverToReplica(Replica* replica, int port_index,
                                         sim::SimTime birth, uint32_t span) {
   Shard& acc = AccOfHost(replica->host);
   const sim::SimTime now = SimOfHost(replica->host).now();
-  ReplicaMetrics& rm =
-      metrics_.replicas[static_cast<size_t>(replica->pe_id)][static_cast<size_t>(replica->index)];
+  ReplicaMetrics& rm = *replica->metrics;
   if (!replica->alive || !replica->active || replica->resyncing) {
     ++rm.tuples_ignored;
     if (!replica->alive) {
@@ -1661,7 +1705,7 @@ void StreamSimulation::DeliverToReplica(Replica* replica, int port_index,
                                        replica->pe_id, replica->index, replica->host,
                                        port_index);
   }
-  replica->fifo.push_back(QueuedTuple{port_index, birth, now, span});
+  replica->fifo.push_back(QueuedTuple{birth, now, port_index, span});
   TryStartProcessing(replica);
 }
 
@@ -1688,7 +1732,6 @@ void StreamSimulation::TryStartProcessing(Replica* replica) {
                                        now - tuple.enqueued, replica->pe_id,
                                        replica->index, replica->host, tuple.port);
   }
-  replica->remaining_cycles = port.cpu_cost;
   if (port.cpu_cost <= 0.0) {
     // Zero-cost tuple: complete synchronously without touching the host.
     replica->processing = false;
@@ -1696,14 +1739,13 @@ void StreamSimulation::TryStartProcessing(Replica* replica) {
     TryStartProcessing(replica);
     return;
   }
-  AddBusy(replica);
+  AddBusy(replica, port.cpu_cost);
 }
 
 void StreamSimulation::FinishTuple(Replica* replica) {
   Shard& acc = AccOfHost(replica->host);
   const sim::SimTime now = SimOfHost(replica->host).now();
-  ReplicaMetrics& rm =
-      metrics_.replicas[static_cast<size_t>(replica->pe_id)][static_cast<size_t>(replica->index)];
+  ReplicaMetrics& rm = *replica->metrics;
   ++rm.tuples_processed;
   PeState* pe = pes_[static_cast<size_t>(replica->pe_id)].get();
   const bool is_primary = pe->primary == replica->index;
@@ -1886,7 +1928,6 @@ void StreamSimulation::ApplyActivation(Replica* replica, bool active) {
     if (replica->processing) {
       RemoveBusy(replica);
       replica->processing = false;
-      replica->remaining_cycles = 0.0;
       replica->processing_port = -1;
       replica->processing_span = 0;
     }
@@ -2101,7 +2142,6 @@ void StreamSimulation::CrashHost(model::HostId host, sim::SimTime duration) {
       if (replica.processing) {
         RemoveBusy(&replica);
         replica.processing = false;
-        replica.remaining_cycles = 0.0;
         replica.processing_port = -1;
         replica.processing_span = 0;
       }
@@ -2187,17 +2227,6 @@ bool StreamSimulation::Tracing(obs::Category category) const {
 
 bool StreamSimulation::LatencyTracing() const {
   return options_.latency_tracer != nullptr && options_.latency_tracer->enabled();
-}
-
-void StreamSimulation::RecordReplicaCycles(Replica* replica, double cycles,
-                                           sim::SimTime now) {
-  metrics_.replicas[static_cast<size_t>(replica->pe_id)][static_cast<size_t>(replica->index)]
-      .cpu_cycles += cycles;
-  metrics_.host_cycles[static_cast<size_t>(replica->host)] += cycles;
-  if (options_.record_replica_series) {
-    metrics_.replica_series[static_cast<size_t>(replica->pe_id)]
-                           [static_cast<size_t>(replica->index)][BucketOf(now)] += cycles;
-  }
 }
 
 }  // namespace laar::dsps

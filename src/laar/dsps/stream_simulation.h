@@ -104,7 +104,8 @@ class StreamSimulation {
   void AdvanceHost(HostState* host);
   void RescheduleHost(HostState* host);
   void HostCompletionEvent(HostState* host);
-  void AddBusy(Replica* replica);
+  /// Joins `replica` to its host's busy set with `cycles` of work.
+  void AddBusy(Replica* replica, double cycles);
   void RemoveBusy(Replica* replica);
 
   // --- operator mechanics ---
@@ -184,7 +185,6 @@ class StreamSimulation {
 
   // --- bookkeeping ---
   size_t BucketOf(sim::SimTime t) const;
-  void RecordReplicaCycles(Replica* replica, double cycles, sim::SimTime now);
 
   /// True when a recorder is attached and wants `category` — the guard every
   /// emission site checks before building an event.

@@ -46,12 +46,16 @@ Status ParseError(std::string_view rule, const char* why) {
                 why));
 }
 
-/// Parses a strictly numeric token (no trailing junk).
+/// Parses a strictly numeric, finite token (no trailing junk, not even
+/// after an embedded NUL): a threshold of NaN or infinity would silently
+/// never, or always, fire.
 bool ParseNumber(std::string_view token, double* out) {
   const std::string text(token);
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || std::isnan(value)) return false;
+  if (end == text.c_str() || end != text.c_str() + text.size() || !std::isfinite(value)) {
+    return false;
+  }
   *out = value;
   return true;
 }

@@ -4,10 +4,7 @@
 #include <set>
 
 #include "laar/common/strings.h"
-
-#ifndef LAAR_GIT_DESCRIBE
-#define LAAR_GIT_DESCRIBE "unknown"
-#endif
+#include "laar_build_stamp.h"  // LAAR_GIT_DESCRIBE, generated at build time
 
 namespace laar::obs {
 

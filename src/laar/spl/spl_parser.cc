@@ -1,6 +1,7 @@
 #include "laar/spl/spl_parser.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -38,6 +39,16 @@ struct Token {
   double number = 0.0;
   int line = 0;
 };
+
+/// A number token's unit: the alphabetic suffix glued to it ("ms" in
+/// "100ms", "cycles" in "3e6cycles"). A valid literal never ends in a
+/// letter, so the suffix starts after the literal's last digit or dot.
+std::string_view UnitOf(const Token& token) {
+  const std::string_view text = token.text;
+  size_t start = text.size();
+  while (start > 0 && std::isalpha(static_cast<unsigned char>(text[start - 1]))) --start;
+  return text.substr(start);
+}
 
 class Lexer {
  public:
@@ -92,6 +103,9 @@ class Lexer {
         const double value = std::strtod(literal.c_str(), &end);
         if (end == nullptr || *end != '\0') {
           return Error(StrFormat("invalid number '%s'", literal.c_str()));
+        }
+        if (!std::isfinite(value)) {
+          return Error(StrFormat("number '%s' is out of range", literal.c_str()));
         }
         Token token{TokenKind::kNumber, literal, value, line_};
         // Unit suffix (identifier glued to the number): "100ms", "5cycles".
@@ -226,8 +240,12 @@ class Parser {
     return tokens_[pos_++].text;
   }
 
-  Result<Token> ExpectNumber(const char* what) {
+  /// A number token; only a cost may carry a unit suffix.
+  Result<Token> ExpectNumber(const char* what, bool unit_allowed = false) {
     if (!AtKind(TokenKind::kNumber)) return Error(StrFormat("expected %s", what));
+    if (!unit_allowed && !UnitOf(Peek()).empty()) {
+      return Error(StrFormat("%s takes no unit", what));
+    }
     return tokens_[pos_++];
   }
 
@@ -291,18 +309,23 @@ class Parser {
   }
 
   Result<double> ParseCost(const Token& token) {
-    // "100ms" tokenizes as number 100 with text "100ms": the unit is the
-    // alphabetic tail.
-    std::string unit;
-    for (char c : token.text) {
-      if (std::isalpha(static_cast<unsigned char>(c))) unit.push_back(c);
-    }
     constexpr double kReferenceHz = 1e9;  // 1 GHz reference core
-    if (unit.empty() || unit == "cycles") return token.number;
-    if (unit == "ms") return token.number * 1e-3 * kReferenceHz;
-    if (unit == "us") return token.number * 1e-6 * kReferenceHz;
-    if (unit == "s") return token.number * kReferenceHz;
-    return Error(StrFormat("unknown cost unit '%s'", unit.c_str()));
+    const std::string_view unit = UnitOf(token);
+    double cycles = 0.0;
+    if (unit.empty() || unit == "cycles") {
+      cycles = token.number;
+    } else if (unit == "ms") {
+      cycles = token.number * 1e-3 * kReferenceHz;
+    } else if (unit == "us") {
+      cycles = token.number * 1e-6 * kReferenceHz;
+    } else if (unit == "s") {
+      cycles = token.number * kReferenceHz;
+    } else {
+      return Error(StrFormat("unknown cost unit '%.*s'", static_cast<int>(unit.size()),
+                             unit.data()));
+    }
+    if (!std::isfinite(cycles)) return Error("cost is out of range");
+    return cycles;
   }
 
   Status ParseStream() {
@@ -326,7 +349,8 @@ class Parser {
         LAAR_ASSIGN_OR_RETURN(std::string attribute,
                               ExpectIdentifier("edge attribute name"));
         LAAR_RETURN_IF_ERROR(Expect(TokenKind::kEquals, "'='"));
-        LAAR_ASSIGN_OR_RETURN(Token value, ExpectNumber("attribute value"));
+        LAAR_ASSIGN_OR_RETURN(Token value,
+                              ExpectNumber("attribute value", attribute == "cost"));
         if (attribute == "selectivity") {
           selectivity = value.number;
         } else if (attribute == "cost") {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -288,6 +289,78 @@ TEST(DeterminismTest, WindowedOutputsMatchGoldensAtEveryShardCount) {
       EXPECT_EQ(got.worst_case_metrics, golden.expected.worst_case_metrics)
           << "seed " << golden.seed << " shards " << shards;
     }
+  }
+}
+
+/// An overloaded synchronous-engine run under static replication: the
+/// all-peak input keeps hosts saturated, short queues fill to their bounds
+/// (tail-drop, or load shedding when `shed` is set), and a mid-run host
+/// crash clears the backlogs of every replica on it. Per-replica CPU series,
+/// telemetry and every trace category are recorded, so queue order, the
+/// drop and shed decisions and the processor-sharing integration all reach
+/// the hashes.
+RunHashes RunOverloadedInline(uint64_t seed, bool shed) {
+  appgen::GeneratorOptions generator;
+  generator.num_pes = 12;
+  generator.num_hosts = 6;
+  auto app = appgen::GenerateApplication(generator, seed);
+  EXPECT_TRUE(app.ok()) << app.status().ToString();
+  strategy::ActivationStrategy sr = strategy::MakeStaticReplication(
+      app->descriptor.graph, app->descriptor.input_space, 2);
+  dsps::InputTrace trace;
+  EXPECT_TRUE(trace.Append(30.0, app->descriptor.input_space.PeakConfig()).ok());
+
+  RunHashes hashes;
+  obs::TraceRecorder recorder;
+  obs::MetricsRegistry registry;
+  dsps::RuntimeOptions options;
+  options.trace_recorder = &recorder;
+  options.telemetry = &registry;
+  options.record_replica_series = true;
+  options.queue_seconds = 0.5;
+  options.enable_load_shedding = shed;
+  dsps::StreamSimulation simulation(app->descriptor, app->cluster, app->placement, sr,
+                                    trace, options);
+  EXPECT_TRUE(simulation.ScheduleHostCrash(2, 12.0, 6.0).ok());
+  simulation.Run().CheckOK();
+  const dsps::SimulationMetrics& metrics = simulation.metrics();
+  // The run must exercise what the golden is for: queues deeper than a
+  // queue ring's initial 8 slots, full queues, and a crash that loses work.
+  EXPECT_GT(metrics.max_queue_depth, 8u);
+  EXPECT_GT(shed ? metrics.shed_tuples : metrics.dropped_tuples, 0u);
+  EXPECT_GT(metrics.crash_lost_tuples, 0u);
+  dsps::PublishTo(&registry, metrics);
+  hashes.metrics = Fnv1a(registry.ToJson().Dump());
+  hashes.trace = Fnv1a(obs::ToChromeTraceJson(recorder, nullptr).Dump());
+  hashes.timeseries = Fnv1a(obs::TimeSeriesCsv(registry));
+  return hashes;
+}
+
+// Captured from the engine with fixed-capacity queue rings and the
+// replica-side processor-sharing state (LAAR_PRINT_HASHES=1); the growable
+// rings and the host-local busy set must reproduce them.
+const GoldenEntry kOverloadedGolden[] = {  // tail-drop, then load shedding
+    {6, {0x6fd2069ed409dfe5ULL, 0x5c3b951fd871cce8ULL, 0xc743dcf04e4d4263ULL, 0x0ULL, 0x0ULL}},
+    {6, {0x97810b4c6f9158f6ULL, 0x2b3632817655f7d3ULL, 0x9a6c4ff76070c69aULL, 0x0ULL, 0x0ULL}},
+};
+
+TEST(DeterminismTest, OverloadedInlineRunsMatchGoldens) {
+  const bool print = std::getenv("LAAR_PRINT_HASHES") != nullptr;
+  for (size_t i = 0; i < std::size(kOverloadedGolden); ++i) {
+    const GoldenEntry& golden = kOverloadedGolden[i];
+    const bool shed = i == 1;
+    const RunHashes got = RunOverloadedInline(golden.seed, shed);
+    if (print) {
+      std::printf("    {%llu, {0x%016llxULL, 0x%016llxULL, 0x%016llxULL, 0x0ULL, 0x0ULL}},\n",
+                  static_cast<unsigned long long>(golden.seed),
+                  static_cast<unsigned long long>(got.metrics),
+                  static_cast<unsigned long long>(got.trace),
+                  static_cast<unsigned long long>(got.timeseries));
+      continue;
+    }
+    EXPECT_EQ(got.metrics, golden.expected.metrics) << "shed " << shed;
+    EXPECT_EQ(got.trace, golden.expected.trace) << "shed " << shed;
+    EXPECT_EQ(got.timeseries, golden.expected.timeseries) << "shed " << shed;
   }
 }
 

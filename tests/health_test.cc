@@ -3,6 +3,7 @@
 // bridge.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,6 +57,10 @@ TEST(AlertRuleParseTest, RejectsMalformedRules) {
   EXPECT_FALSE(obs::ParseAlertRule("x{unclosed > 5").ok());     // bad label block
   EXPECT_FALSE(obs::ParseAlertRule("x{k} > 5").ok());           // label without value
   EXPECT_FALSE(obs::ParseAlertRule("x > 5 warn crit").ok());    // duplicate severity
+  EXPECT_FALSE(obs::ParseAlertRule("x > inf").ok());            // never fires
+  EXPECT_FALSE(obs::ParseAlertRule("x < 1e400").ok());          // overflows to inf
+  EXPECT_FALSE(obs::ParseAlertRule("x > 5 for inf").ok());      // never sustained
+  EXPECT_FALSE(obs::ParseAlertRule(std::string_view("x > 5\0junk", 11)).ok());
 }
 
 TEST(AlertRuleParseTest, SemicolonListSkipsEmptySegments) {

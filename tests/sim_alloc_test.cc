@@ -1,10 +1,12 @@
 // Proves the engines' zero-allocation steady state: after warm-up, a
 // sustained schedule / fire / cancel / reschedule churn must perform no
-// heap allocations at all, and a windowed run's allocation count must not
-// grow with its window count. Counts them by replacing the global operator
-// new family for this binary; the counter only runs inside the measured
-// region so gtest and runtime setup noise is excluded. The counter is
-// atomic because the windowed engine allocates on its shard workers too.
+// heap allocations at all, a simulation's allocation count must not grow
+// with its horizon, and its allocated bytes must follow the queue depths a
+// run reaches rather than the queue bounds. Counts allocations and bytes by
+// replacing the global operator new family for this binary; the counters
+// only run inside the measured region so gtest and runtime setup noise is
+// excluded. They are atomic because the windowed engine allocates on its
+// shard workers too.
 
 #include <atomic>
 #include <cstdint>
@@ -22,21 +24,25 @@
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_bytes{0};
 std::atomic<bool> g_counting{false};
 
-void* CountedAlloc(std::size_t size) {
+void Count(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
+}
+
+void* CountedAlloc(std::size_t size) {
+  Count(size);
   void* ptr = std::malloc(size != 0 ? size : 1);
   if (ptr == nullptr) throw std::bad_alloc();
   return ptr;
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
+  Count(size);
   void* ptr = nullptr;
   if (posix_memalign(&ptr, align, size != 0 ? size : align) != 0) {
     throw std::bad_alloc();
@@ -143,10 +149,17 @@ TEST(SimAllocTest, OversizePayloadsAllocateExactlyTheirBox) {
 namespace laar::dsps {
 namespace {
 
-/// Heap allocations performed by one failure-free windowed run (build and
-/// run) of a fixed generated application at 4 shards over `seconds` of the
-/// all-low input configuration.
-uint64_t WindowedRunAllocations(double seconds) {
+struct RunAllocations {
+  uint64_t count = 0;
+  uint64_t bytes = 0;
+};
+
+/// Heap allocations performed by one failure-free run (build and run) of a
+/// fixed generated application under static replication over `seconds` of
+/// the all-low input configuration. `link_latency` > 0 selects the windowed
+/// engine at 4 shards; 0 the synchronous engine.
+RunAllocations RunAllocationsOf(double seconds, double link_latency,
+                                double queue_seconds = 2.0) {
   appgen::GeneratorOptions generator;
   generator.num_pes = 12;
   generator.num_hosts = 6;
@@ -157,16 +170,21 @@ uint64_t WindowedRunAllocations(double seconds) {
   InputTrace trace;
   EXPECT_TRUE(trace.Append(seconds, 0).ok());
   RuntimeOptions options;
-  options.link_latency_seconds = 0.05;
-  options.shards = 4;
+  options.queue_seconds = queue_seconds;
+  if (link_latency > 0.0) {
+    options.link_latency_seconds = link_latency;
+    options.shards = 4;
+  }
   StreamSimulation simulation(app->descriptor, app->cluster, app->placement, sr,
                               trace, options);
   g_allocations.store(0);
+  g_bytes.store(0);
   g_counting.store(true);
   EXPECT_TRUE(simulation.Run().ok());
   g_counting.store(false);
   EXPECT_GT(simulation.metrics().sink_tuples, 0u);
-  return g_allocations.load();
+  EXPECT_EQ(simulation.metrics().dropped_tuples, 0u);
+  return RunAllocations{g_allocations.load(), g_bytes.load()};
 }
 
 /// Doubling the horizon adds 400 windows (and 1,600 shard-windows); a
@@ -174,12 +192,36 @@ uint64_t WindowedRunAllocations(double seconds) {
 /// only the few reallocations of run-length series (per-bucket metrics,
 /// amortized vector growth), far fewer than one per window.
 TEST(SimAllocTest, WindowedSteadyStateAllocatesNothingPerWindow) {
-  const uint64_t base = WindowedRunAllocations(20.0);
-  const uint64_t doubled = WindowedRunAllocations(40.0);
+  const uint64_t base = RunAllocationsOf(20.0, 0.05).count;
+  const uint64_t doubled = RunAllocationsOf(40.0, 0.05).count;
   const uint64_t extra_windows = 400;
   ASSERT_GE(doubled, base);
   EXPECT_LT(doubled - base, extra_windows / 10)
       << "base run " << base << ", doubled run " << doubled;
+}
+
+/// The synchronous engine's counterpart: 20 more simulated seconds are
+/// thousands more tuples and events, but once the queue rings have reached
+/// their run's depth only the amortized growth of run-length series
+/// allocates.
+TEST(SimAllocTest, InlineSteadyStateAllocatesNothingPerTuple) {
+  const RunAllocations base = RunAllocationsOf(20.0, 0.0);
+  const RunAllocations doubled = RunAllocationsOf(40.0, 0.0);
+  ASSERT_GE(doubled.count, base.count);
+  EXPECT_LT(doubled.count - base.count, 16u)
+      << "base run " << base.count << ", doubled run " << doubled.count;
+}
+
+/// Queue rings are sized to the depth a queue reaches, not to its bound: a
+/// run whose queues never fill allocates about the same bytes whether its
+/// queues may hold 2 s or 200 s of peak input. A ring allocated at its
+/// bound would allocate about 100x the ring bytes at 200 s.
+TEST(SimAllocTest, QueueMemoryFollowsDepthNotBound) {
+  const RunAllocations short_queues = RunAllocationsOf(20.0, 0.0, 2.0);
+  const RunAllocations long_queues = RunAllocationsOf(20.0, 0.0, 200.0);
+  EXPECT_LT(long_queues.bytes, 2 * short_queues.bytes)
+      << "queue_seconds 2: " << short_queues.bytes << " B, 200: " << long_queues.bytes
+      << " B";
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -67,6 +68,41 @@ application units {
   EXPECT_DOUBLE_EQ(app->graph.edges()[1].cpu_cost_cycles, 2e6);
   EXPECT_DOUBLE_EQ(app->graph.edges()[2].cpu_cost_cycles, 3e3);
   EXPECT_DOUBLE_EQ(app->graph.edges()[3].cpu_cost_cycles, 42.0);
+}
+
+TEST(SplParserTest, ExponentNumbersTakeUnits) {
+  const char* text = R"(
+application exponents {
+  source s { rate only = 1e1 @ 1.0; }
+  pe a; pe b;
+  sink k;
+  stream s -> a [cost = 3e6cycles];
+  stream a -> b [cost = 1.5e-3s, selectivity = 2E0];
+  stream b -> k;
+}
+)";
+  Result<model::ApplicationDescriptor> app = ParseApplication(text);
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  EXPECT_DOUBLE_EQ(app->graph.edges()[0].cpu_cost_cycles, 3e6);
+  EXPECT_DOUBLE_EQ(app->graph.edges()[1].cpu_cost_cycles, 1.5e6);
+  EXPECT_DOUBLE_EQ(app->graph.edges()[1].selectivity, 2.0);
+}
+
+TEST(SplParserTest, RejectsOutOfRangeNumbersAndStrayUnits) {
+  const auto with_edge = [](const char* attributes) {
+    return std::string("application x { source s { rate r = 1 @ 1; } pe a; sink k; "
+                       "stream s -> a [") +
+           attributes + "]; stream a -> k; }";
+  };
+  ASSERT_TRUE(ParseApplication(with_edge("cost = 1ms")).ok());
+  EXPECT_FALSE(ParseApplication(with_edge("selectivity = 1e400")).ok());  // overflows
+  EXPECT_FALSE(ParseApplication(with_edge("cost = 1e400")).ok());
+  EXPECT_FALSE(ParseApplication(with_edge("cost = 1e300s")).ok());  // overflows in cycles
+  EXPECT_FALSE(ParseApplication(with_edge("selectivity = 2ms")).ok());  // unit on a ratio
+  EXPECT_FALSE(ParseApplication(
+                   "application x { source s { rate r = 1ms @ 1; } pe a; sink k; "
+                   "stream s -> a; stream a -> k; }")
+                   .ok());
 }
 
 TEST(SplParserTest, MultiSourceFanIn) {

@@ -18,18 +18,44 @@
 // --progress streams live search snapshots (nodes explored, incumbent cost,
 // per-rule prune counts) to stderr, roughly every NODES explored nodes
 // (default 65536). The stream is observational: it never changes the result.
+//
+// Before exiting, once a search has run, one "measured:" line on stderr
+// gives the process wall time, FT-Search's explored nodes per second and
+// the peak RSS. These are machine-dependent, so they go to no artifact.
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <string>
 
 #include "laar/common/flags.h"
+#include "laar/common/stopwatch.h"
 #include "laar/ftsearch/ft_search.h"
 #include "laar/metrics/cost.h"
 #include "laar/model/descriptor.h"
 #include "laar/placement/placement_algorithms.h"
 #include "laar/strategy/describe.h"
 
+namespace {
+
+void PrintMeasured(const laar::Stopwatch& wall_watch,
+                   const laar::ftsearch::FtSearchResult& result) {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is in KiB on Linux
+  const double nodes_per_second =
+      result.total_seconds > 0.0
+          ? static_cast<double>(result.stats.nodes_explored) / result.total_seconds
+          : 0.0;
+  std::fflush(stdout);
+  std::fprintf(stderr, "measured: wall %.3f s, %.3g FT-Search nodes/s, peak RSS %.1f MB\n",
+               wall_watch.ElapsedSeconds(), nodes_per_second,
+               static_cast<double>(usage.ru_maxrss) / 1024.0);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  const laar::Stopwatch wall_watch;
   laar::Flags flags(argc, argv);
   const std::string app_path = flags.GetString("app", "");
   const std::string out_path = flags.GetString("out", "");
@@ -101,6 +127,7 @@ int main(int argc, char** argv) {
   if (!result->strategy.has_value()) {
     std::fprintf(stderr, "no feasible strategy (outcome %s)\n",
                  laar::ftsearch::SearchOutcomeName(result->outcome));
+    PrintMeasured(wall_watch, *result);
     return 3;
   }
 
@@ -115,5 +142,6 @@ int main(int argc, char** argv) {
   std::printf("%s", laar::strategy::Describe(app->graph, app->input_space,
                                              *result->strategy)
                         .c_str());
+  PrintMeasured(wall_watch, *result);
   return 0;
 }
